@@ -27,7 +27,6 @@ from .errors import (
 )
 from .expr import FUNCTIONS, RhsExpr, make_callable, parse_expression
 from .fracint import (
-    IalphaParams,
     KernelConstant,
     apply_ialpha,
     bound_constant,
@@ -46,6 +45,7 @@ from .grid import (
     TailSpec,
     ball_power_integral,
     check_growth_conditions,
+    lower_sums,
     qpow,
     shell_measure,
     weighted_tail_sum,
@@ -62,7 +62,6 @@ from .solver import (
     verify_strict,
 )
 from .vladimirov import (
-    DalphaParams,
     apply_dalpha,
     dalpha_oracle,
     diag_coeff,

@@ -36,14 +36,16 @@ from .grid import (
     RadialGrid,
     TailSpec,
     check_growth_conditions,
+    lower_sums,
     qpow,
-    weighted_tail_sum,
 )
 
 __all__ = [
     "is_log_branch",
     "front_coeff",
-    "IalphaParams",
+    "second_sum_weight",
+    "kernel_sums",
+    "offdiag_integral",
     "apply_ialpha",
     "ialpha_oracle",
     "KernelConstant",
@@ -72,29 +74,34 @@ def front_coeff(alpha: float, q: int) -> float:
     return (1.0 - qpow(q, -alpha)) / (1.0 - qpow(q, alpha - 1.0))
 
 
-@dataclass(frozen=True)
-class IalphaParams:
-    """Kernel branch and front coefficient for one (alpha, q)."""
+def second_sum_weight(alpha: float) -> tuple[float, int]:
+    """Weight exponent and index power of the kernel's second lower sum.
 
-    alpha: float
-    front_coeff: float
-    is_log_branch: bool
-
-    @classmethod
-    def of(cls, alpha: float, q: int) -> "IalphaParams":
-        return cls(alpha, front_coeff(alpha, q), is_log_branch(alpha))
+    The off-diagonal integral needs sum q^j u(q^j) and, besides it,
+    sum q^(a j) u(q^j), or sum j q^j u(q^j) on the log branch.
+    """
+    return (1.0, 1) if is_log_branch(alpha) else (alpha, 0)
 
 
-def _offdiag(u: RadialFunction, alpha: float, q: int, n: int, front: float) -> float:
-    """front * integral of K(n, j) u over |y| < q^n, via exact tail sums."""
+def kernel_sums(u: RadialFunction, alpha: float, k_lo: int,
+                k_hi: int) -> tuple[list[float], list[float]]:
+    """The two lower sums of :func:`offdiag_integral` through every shell
+    k0 in [k_lo, k_hi], each in one ascending pass."""
+    w, p = second_sum_weight(alpha)
+    return lower_sums(u, 1.0, k_lo, k_hi), lower_sums(u, w, k_lo, k_hi, p)
+
+
+def offdiag_integral(alpha: float, q: int, front: float, n: int,
+                     s_plain: float, s_second: float) -> float:
+    """front * integral of K(n, j) u over |y| < q^n.
+
+    ``s_plain`` and ``s_second`` are the two lower sums of u through shell
+    n - 1 (see :func:`second_sum_weight`); their tails are exact.
+    """
     one = 1.0 - 1.0 / q
     if is_log_branch(alpha):
-        s_plain = weighted_tail_sum(u, 1.0, "lower", n - 1)
-        s_index = weighted_tail_sum(u, 1.0, "lower", n - 1, index_power=1)
-        return front * math.log(q) * one * (n * s_plain - s_index)
-    s_plain = weighted_tail_sum(u, 1.0, "lower", n - 1)
-    s_alpha = weighted_tail_sum(u, alpha, "lower", n - 1)
-    return front * one * (qpow(q, (alpha - 1.0) * n) * s_plain - s_alpha)
+        return front * math.log(q) * one * (n * s_plain - s_second)
+    return front * one * (qpow(q, (alpha - 1.0) * n) * s_plain - s_second)
 
 
 def apply_ialpha(u: RadialFunction, alpha: float,
@@ -114,10 +121,11 @@ def apply_ialpha(u: RadialFunction, alpha: float,
     if n_lo > n_hi:
         raise ValueError(f"empty output window [{n_lo}, {n_hi}]")
     front = front_coeff(alpha, q)
+    s_plain, s_second = kernel_sums(u, alpha, n_lo - 1, n_hi - 1)
     values = []
-    for n in range(n_lo, n_hi + 1):
+    for n, sp, ss in zip(range(n_lo, n_hi + 1), s_plain, s_second):
         diag = qpow(q, alpha * (n - 1)) * u.eval(n)
-        values.append(diag + _offdiag(u, alpha, q, n, front))
+        values.append(diag + offdiag_integral(alpha, q, front, n, sp, ss))
     return RadialFunction(RadialGrid(q, n_lo, n_hi), tuple(values), 0.0,
                           TailSpec.zero(), TailSpec.zero())
 
@@ -169,7 +177,6 @@ class KernelConstant:
     d_value: float
 
 
-@lru_cache(maxsize=None)
 def _kernel_moment(alpha: float, m: int, q: int, n: int) -> float:
     """I_{a,m}(q^n) as an exact geometric closed form."""
     one = 1.0 - 1.0 / q
@@ -186,7 +193,6 @@ def _kernel_moment(alpha: float, m: int, q: int, n: int) -> float:
                         - lower_geom(alpha + alpha * m))
 
 
-@lru_cache(maxsize=None)
 def kernel_constant(alpha: float, m: int, grid: RadialGrid) -> KernelConstant:
     """Compute d_{a,m} and verify its homogeneity across two shells.
 

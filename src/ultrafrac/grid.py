@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DivergentTail
 
@@ -32,6 +32,8 @@ __all__ = [
     "shell_measure",
     "ball_power_integral",
     "weighted_tail_sum",
+    "LowerPrefix",
+    "lower_sums",
     "GrowthKind",
     "ConditionEntry",
     "ConditionReport",
@@ -66,13 +68,6 @@ class _Kahan:
         t = self.s + y
         self.c = (t - self.s) - y
         self.s = t
-
-
-def kahan_sum(terms: Iterable[float]) -> float:
-    acc = _Kahan()
-    for t in terms:
-        acc.add(t)
-    return acc.s
 
 
 @dataclass(frozen=True)
@@ -228,9 +223,6 @@ class RadialFunction:
                               self.value_at_zero - c,
                               shift(self.lower_tail), shift(self.upper_tail))
 
-    def sup_window(self) -> float:
-        return max(abs(v) for v in self.values)
-
 
 def shell_measure(grid: RadialGrid, n: int) -> float:
     """Measure of the sphere |t| = q**n, i.e. (1 - 1/q) * q**n."""
@@ -312,6 +304,65 @@ def weighted_tail_sum(f: RadialFunction, w: float, side: str, k0: int,
             acc.add(qpow(q, w * k) * _index_factor(k, p) * f.values[k - k_min])
         acc.add(_tail_series(f.upper_tail, q, w, p, "upper", max(k0, k_max + 1)))
     return acc.s
+
+
+class LowerPrefix:
+    """Running lower sum of q**(w*k) * k**p * f(q**k), extended one shell at a time.
+
+    The sum starts as the exact tail series over k <= k_start - 1; ``push``
+    then adds the value at shells k_start, k_start + 1, ... in ascending
+    order.  After the values of shells k_start..k0 are pushed, ``value``
+    equals :func:`weighted_tail_sum` at k0 of a function whose window starts
+    at k_start, bit for bit: both add the same tail anchor first and then
+    the same terms in the same compensated order.
+    """
+
+    __slots__ = ("_q", "_w", "_p", "_k", "_acc")
+
+    def __init__(self, tail: TailSpec, q: int, w: float, k_start: int,
+                 index_power: int = 0) -> None:
+        if index_power not in (0, 1):
+            raise ValueError("index_power must be 0 or 1")
+        self._q, self._w, self._p, self._k = q, w, index_power, k_start
+        self._acc = _Kahan()
+        self._acc.add(_tail_series(tail, q, w, index_power, "lower", k_start - 1))
+
+    @property
+    def value(self) -> float:
+        return self._acc.s
+
+    def push(self, v: float) -> float:
+        """Add the value at the next shell; return the sum through that shell."""
+        k = self._k
+        self._acc.add(qpow(self._q, self._w * k) * _index_factor(k, self._p) * v)
+        self._k = k + 1
+        return self._acc.s
+
+
+def lower_sums(f: RadialFunction, w: float, k_lo: int, k_hi: int,
+               index_power: int = 0) -> list[float]:
+    """``weighted_tail_sum(f, w, "lower", k0, index_power)`` for every k0 in
+    [k_lo, k_hi], in one ascending pass.
+
+    From k0 = k_min - 1 on, the per-shell sums share the tail anchor
+    k_min - 1 and differ only in how many ascending terms follow it, so one
+    :class:`LowerPrefix` yields all of them bit for bit in O(k_hi - k_min)
+    terms.  Below k_min - 1 the anchor moves with k0, and those few sums are
+    taken one by one.
+    """
+    k_min = f.grid.k_min
+    out = [weighted_tail_sum(f, w, "lower", k0, index_power)
+           for k0 in range(k_lo, min(k_hi + 1, k_min - 1))]
+    if k_hi < k_min - 1:
+        return out
+    run = LowerPrefix(f.lower_tail, f.grid.q, w, k_min, index_power)
+    if k_lo <= k_min - 1:
+        out.append(run.value)
+    for k in range(k_min, k_hi + 1):
+        s = run.push(f.eval(k))
+        if k >= k_lo:
+            out.append(s)
+    return out
 
 
 class GrowthKind(enum.Enum):

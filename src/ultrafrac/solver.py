@@ -37,10 +37,19 @@ from .errors import (
     ToleranceNotReached,
 )
 from .expr import make_callable, parse_expression
-from .fracint import apply_ialpha, bound_constant, front_coeff, is_log_branch
+from .fracint import (
+    apply_ialpha,
+    bound_constant,
+    front_coeff,
+    is_log_branch,
+    kernel_sums,
+    offdiag_integral,
+    second_sum_weight,
+)
 from .grid import (
     ConditionEntry,
     ConditionReport,
+    LowerPrefix,
     RadialFunction,
     RadialGrid,
     TailSpec,
@@ -80,7 +89,6 @@ class RhsSpec:
     F: float
     F_l: Callable[[int], float] | None = None
     beta: float | None = None
-    expr_text: str | None = None
 
     def __post_init__(self) -> None:
         if not self.M > 0.0:
@@ -100,7 +108,7 @@ class RhsSpec:
             fl_node = parse_expression(F_l_text, ("l",))
             fl_call = make_callable(fl_node, q, ("l",))
             fl = lambda l: fl_call(float(l))
-        return cls(f, M, F, fl, beta, text)
+        return cls(f, M, F, fl, beta)
 
 
 @dataclass(frozen=True)
@@ -270,20 +278,6 @@ def mild_residuals(sol: MildSolution, rhs: RhsSpec) -> tuple[float, ...]:
     return tuple(abs(u - (sol.u0 + w)) for u, w in zip(sol.values, integ.values))
 
 
-def _v0_from_phi(phi: RadialFunction, alpha: float, N: int) -> float:
-    """front * int_{|y| <= q^N} K(N+1, j) f(|y|, u(|y|)) dy."""
-    q = phi.grid.q
-    one = 1.0 - 1.0 / q
-    front = front_coeff(alpha, q)
-    if is_log_branch(alpha):
-        s_plain = weighted_tail_sum(phi, 1.0, "lower", N)
-        s_index = weighted_tail_sum(phi, 1.0, "lower", N, index_power=1)
-        return front * math.log(q) * one * ((N + 1) * s_plain - s_index)
-    s_plain = weighted_tail_sum(phi, 1.0, "lower", N)
-    s_alpha = weighted_tail_sum(phi, alpha, "lower", N)
-    return front * one * (qpow(q, (alpha - 1.0) * (N + 1)) * s_plain - s_alpha)
-
-
 def v0_constant(sol: MildSolution, rhs: RhsSpec, alpha: float, N: int) -> float:
     """The known constant in the one-shell continuation equation at N + 1.
 
@@ -294,8 +288,11 @@ def v0_constant(sol: MildSolution, rhs: RhsSpec, alpha: float, N: int) -> float:
     if sol.frontier < N:
         raise FrontierTooLow(
             f"solution frontier {sol.frontier} is below requested shell {N}")
-    phi = _phi_function(sol.q, sol.k_min, sol.values, rhs, N)
-    return _v0_from_phi(phi, alpha, N)
+    q = sol.q
+    phi = _phi_function(q, sol.k_min, sol.values, rhs, N)
+    s_plain, s_second = kernel_sums(phi, alpha, N, N)
+    return offdiag_integral(alpha, q, front_coeff(alpha, q), N + 1,
+                            s_plain[0], s_second[0])
 
 
 def continue_solution(sol: MildSolution, rhs: RhsSpec, alpha: float,
@@ -307,6 +304,11 @@ def continue_solution(sol: MildSolution, rhs: RhsSpec, alpha: float,
     by plain successive substitution; the per-shell contraction factor
     q^(a l) * F_(l+1) is recorded.  Raises :class:`ContractionFailure` at
     the first shell whose iteration diverges or stalls.
+
+    v0 reads f(., u) through two lower sums over the solved shells.  They
+    are kept running across steps, so each new shell costs one more
+    evaluation of f and one more term per sum; the values are bit-identical
+    to :func:`v0_constant` at every step.
     """
     if k_max <= sol.frontier:
         return sol
@@ -315,9 +317,17 @@ def continue_solution(sol: MildSolution, rhs: RhsSpec, alpha: float,
     values = list(sol.values)
     fp_iters = dict(sol.fp_iterations)
     factors = dict(sol.contraction_factors)
+    front = front_coeff(alpha, q)
+    phi = [rhs.f(qpow(q, k), v) for k, v in zip(sol.grid.shells, values)]
+    tail = TailSpec.constant(phi[0])
+    w, p = second_sum_weight(alpha)
+    plain = LowerPrefix(tail, q, 1.0, sol.k_min)
+    second = LowerPrefix(tail, q, w, sol.k_min, p)
+    for v in phi:
+        plain.push(v)
+        second.push(v)
     for l in range(sol.frontier, k_max):
-        phi = _phi_function(q, sol.k_min, tuple(values), rhs, l)
-        v0 = _v0_from_phi(phi, alpha, l)
+        v0 = offdiag_integral(alpha, q, front, l + 1, plain.value, second.value)
         gain = qpow(q, alpha * l)
         r_next = qpow(q, l + 1)
         F_next = rhs.F_l(l + 1) if rhs.F_l is not None else rhs.F
@@ -345,6 +355,10 @@ def continue_solution(sol: MildSolution, rhs: RhsSpec, alpha: float,
         values.append(x)
         fp_iters[l + 1] = its
         factors[l + 1] = factor
+        if l + 1 < k_max:
+            phi_next = rhs.f(r_next, x)
+            plain.push(phi_next)
+            second.push(phi_next)
     return MildSolution(RadialGrid(q, sol.k_min, k_max), alpha, u0,
                         tuple(values), sol.picard_history,
                         sol.picard_iterations, sol.picard_frontier,

@@ -20,7 +20,6 @@ the package's independent check on every series coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainViolation
 from .grid import (
@@ -29,6 +28,7 @@ from .grid import (
     RadialGrid,
     TailSpec,
     check_growth_conditions,
+    lower_sums,
     qpow,
     weighted_tail_sum,
 )
@@ -36,7 +36,6 @@ from .grid import (
 __all__ = [
     "theta",
     "diag_coeff",
-    "DalphaParams",
     "apply_dalpha",
     "dalpha_oracle",
     "fit_power_tails",
@@ -57,17 +56,12 @@ def diag_coeff(alpha: float, q: int) -> float:
     return (qpow(q, alpha) + q - 2.0) / (1.0 - qpow(q, -alpha - 1.0))
 
 
-@dataclass(frozen=True)
-class DalphaParams:
-    """Derived coefficients of the shell series for one (alpha, q)."""
-
-    alpha: float
-    theta_alpha: float
-    diag_coeff: float
-
-    @classmethod
-    def of(cls, alpha: float, q: int) -> "DalphaParams":
-        return cls(alpha, theta(alpha, q), diag_coeff(alpha, q))
+def _scaled_lower(pref: float, q: int, x: float, low: float) -> float:
+    """pref * q^x * low, with q^x split in two factors where it alone would
+    overflow or underflow although the product is representable."""
+    if abs(x * math.log(q)) < 700.0:
+        return pref * qpow(q, x) * low
+    return pref * (qpow(q, x / 2) * (qpow(q, x - x / 2) * low))
 
 
 def apply_dalpha(u: RadialFunction, alpha: float,
@@ -91,8 +85,9 @@ def apply_dalpha(u: RadialFunction, alpha: float,
     dg = diag_coeff(alpha, q)
     pref = th * (1.0 - 1.0 / q)
     values = []
-    for n in range(n_lo, n_hi + 1):
-        s1 = pref * qpow(q, -(alpha + 1.0) * n) * weighted_tail_sum(u, 1.0, "lower", n - 1)
+    lows = lower_sums(u, 1.0, n_lo - 1, n_hi - 1)
+    for n, low in zip(range(n_lo, n_hi + 1), lows):
+        s1 = _scaled_lower(pref, q, -(alpha + 1.0) * n, low)
         s2 = qpow(q, -alpha * n - 1.0) * dg * u.eval(n)
         s3 = pref * weighted_tail_sum(u, -alpha, "upper", n + 1)
         values.append(s1 + s2 + s3)

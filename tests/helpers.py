@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 from ultrafrac import (
     RadialFunction,
@@ -12,11 +13,19 @@ from ultrafrac import (
     apply_dalpha,
     apply_ialpha,
     fit_power_tails,
+    front_coeff,
     qpow,
+    weighted_tail_sum,
 )
+from ultrafrac.fracint import offdiag_integral, second_sum_weight
 
 #: shells of exact tail modelling appended above a window before fitting
 UPPER_PAD = 45
+
+
+def bits(values) -> bytes:
+    """The exact bytes of a float sequence: equal iff bit-identical, sign of zero included."""
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def compact(q: int, k_min: int, values) -> RadialFunction:
@@ -89,3 +98,40 @@ def catalog_rhs(q: int = 2, alpha: float = 0.5):
         return min(0.1, qpow(q, -alpha * l) / 2.0)
 
     return RhsSpec(f, M=0.1, F=0.1, F_l=F_l, beta=alpha + 1.0)
+
+
+def continue_by_rebuild(sol, rhs, alpha: float, k_max: int, tol: float = 1e-12,
+                        max_iter: int = 200) -> tuple[list[float], dict[int, int]]:
+    """Shell continuation that rebuilds f(., u) and rescans it at every step.
+
+    The per-step reference for the incremental ``continue_solution``: v0 at
+    each new shell comes from one ``weighted_tail_sum`` pair over all solved
+    shells, with the constant lower tail model of the Picard stage.  Returns
+    the solution values and the fixed-point iteration counts.
+    """
+    q, k_min, u0 = sol.q, sol.k_min, sol.u0
+    front = front_coeff(alpha, q)
+    w, p = second_sum_weight(alpha)
+    values = list(sol.values)
+    iters = {}
+    for l in range(sol.frontier, k_max):
+        phi_vals = [rhs.f(qpow(q, k), values[k - k_min]) for k in range(k_min, l + 1)]
+        phi = RadialFunction.from_values(q, k_min, phi_vals,
+                                         lower_tail=TailSpec.constant(phi_vals[0]))
+        v0 = offdiag_integral(alpha, q, front, l + 1,
+                              weighted_tail_sum(phi, 1.0, "lower", l),
+                              weighted_tail_sum(phi, w, "lower", l, p))
+        gain = qpow(q, alpha * l)
+        r_next = qpow(q, l + 1)
+        x = values[-1]
+        for its in range(1, max_iter + 1):
+            x_new = u0 + v0 + gain * rhs.f(r_next, x)
+            done = abs(x_new - x) <= tol
+            x = x_new
+            if done:
+                break
+        else:
+            raise AssertionError(f"reference continuation stalled at shell {l + 1}")
+        values.append(x)
+        iters[l + 1] = its
+    return values, iters

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -142,6 +143,25 @@ def test_golden_verify():
     finally:
         if out.exists():
             os.unlink(out)
+
+
+def test_golden_solve_n3(tmp_path):
+    # N = 3: five Picard iterations that actually move the iterate
+    out = tmp_path / "solve_n3.csv"
+    assert main(["solve", "--config", str(DATA / "catalog_solve_n3.cfg"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "golden_solve_n3.csv").read_bytes()
+
+
+def test_apply_d_wide_window_q3(tmp_path):
+    # the lower-sum scale factor q^(-(a+1)n) alone overflows at n = -400
+    cfg = write_cfg(tmp_path, "q = 3\nalpha = 0.8\nrhs = min(1, r)\n"
+                              "k_min = -400\nk_max = 399\n")
+    out = tmp_path / "ad.csv"
+    assert main(["apply-d", "--config", cfg, "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 800
+    assert all(math.isfinite(float(row.split(",")[3])) for row in rows)
 
 
 def test_verify_reproduces_solve_u_column(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ultrafrac import (
     DomainViolation,
-    IalphaParams,
     RadialFunction,
     RadialGrid,
     TailSpec,
@@ -25,8 +24,11 @@ from ultrafrac import (
     kernel_constant,
     qpow,
     shell_measure,
+    weighted_tail_sum,
 )
+from ultrafrac.fracint import offdiag_integral, second_sum_weight
 from helpers import (
+    bits,
     compact,
     constant_function,
     derivative_of_integral,
@@ -44,8 +46,9 @@ def test_front_coefficient_branches():
     log_val = (1.0 - 3.0) / (3.0 * math.log(3.0))
     assert front_coeff(1.0, 3) == pytest.approx(log_val, rel=1e-15)
     assert front_coeff(1.0 + 5e-13, 3) == pytest.approx(log_val, rel=1e-15)
-    params = IalphaParams.of(1.0, 2)
-    assert params.is_log_branch
+    assert is_log_branch(1.0)
+    assert is_log_branch(1.0 + 5e-13)
+    assert not is_log_branch(1.0 + 5e-12)
     for alpha in (0.1, 0.9, 1.1, 3.0):
         v = front_coeff(alpha, 2)
         assert math.isfinite(v) and v != 0.0
@@ -140,6 +143,30 @@ def test_series_matches_oracle_property(q, alpha, k_min, vals, offset):
     want = ialpha_oracle(u, alpha, n)
     got = apply_ialpha(u, alpha, (n, n)).values[0]
     assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([2, 3, 5, 7]),
+       alpha=st.sampled_from([0.3, 0.5, 1.0, 1.0 + 5e-13, 1.7, 2.5]),
+       k_min=st.integers(-6, 3),
+       vals=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
+       c=st.floats(-1.0, 1.0),
+       tail=st.sampled_from(["zero", "constant"]),
+       lo=st.integers(-10, 16), span=st.integers(0, 10))
+def test_series_matches_per_shell_sums_bitwise(q, alpha, k_min, vals, c, tail, lo, span):
+    # one-pass lower sums against one weighted_tail_sum pair per output shell
+    lower = TailSpec.constant(c) if tail == "constant" else TailSpec.zero()
+    u = RadialFunction.from_values(q, k_min, vals, value_at_zero=lower.c,
+                                   lower_tail=lower)
+    n_lo = k_min - 4 + lo
+    out = apply_ialpha(u, alpha, (n_lo, n_lo + span))
+    front = front_coeff(alpha, q)
+    w, p = second_sum_weight(alpha)
+    want = [qpow(q, alpha * (n - 1)) * u.eval(n) + offdiag_integral(
+                alpha, q, front, n, weighted_tail_sum(u, 1.0, "lower", n - 1),
+                weighted_tail_sum(u, w, "lower", n - 1, p))
+            for n in range(n_lo, n_lo + span + 1)]
+    assert bits(out.values) == bits(want)
 
 
 def test_oracle_rejects_tails():

@@ -14,11 +14,12 @@ from ultrafrac import (
     TailSpec,
     ball_power_integral,
     check_growth_conditions,
+    lower_sums,
     qpow,
     shell_measure,
     weighted_tail_sum,
 )
-from helpers import constant_function, indicator_unit_ball
+from helpers import bits, constant_function, indicator_unit_ball
 
 
 def test_grid_validation():
@@ -184,6 +185,57 @@ def test_tail_closed_forms_match_materialized_window(q, w, e, c, k0):
         a = weighted_tail_sum(base, w, side, k0)
         b = weighted_tail_sum(wide, w, side, k0)
         assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
+
+
+def _tail(kind, c, e):
+    if kind == "zero":
+        return TailSpec.zero()
+    if kind == "constant":
+        return TailSpec.constant(c)
+    return TailSpec.power_law(c, e)
+
+
+_TAIL_KINDS = st.sampled_from(["zero", "constant", "power"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from([2, 3, 5, 7]),
+       w=st.sampled_from([1.0, 0.3, 0.5, 1.7, 2.5, 0.05]),
+       p=st.sampled_from([0, 1]),
+       lower=_TAIL_KINDS, upper=_TAIL_KINDS,
+       c=st.floats(-3.0, 3.0), e_lo=st.floats(-1.0, 2.0), e_up=st.floats(-3.0, 1.0),
+       values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
+       k_min=st.integers(-8, 5),
+       where=st.sampled_from(["below", "across", "above"]),
+       offset=st.integers(0, 6), span=st.integers(0, 15))
+def test_lower_sums_match_per_shell_bitwise(q, w, p, lower, upper, c, e_lo, e_up,
+                                            values, k_min, where, offset, span):
+    # the one-pass engine against one weighted_tail_sum call per shell: same
+    # bits (sign of zero included), or the same DivergentTail
+    f = RadialFunction.from_values(q, k_min, values,
+                                   lower_tail=_tail(lower, c, e_lo),
+                                   upper_tail=_tail(upper, -c, e_up))
+    k_max = f.grid.k_max
+    k_lo = {"below": k_min - 2 - offset - span,
+            "across": k_min - 2 - offset,
+            "above": k_max + 1 + offset}[where]
+    k_hi = k_lo + span if where != "across" else k_max + offset + span
+    try:
+        want = [weighted_tail_sum(f, w, "lower", k0, p) for k0 in range(k_lo, k_hi + 1)]
+    except DivergentTail as exc:
+        with pytest.raises(DivergentTail) as got:
+            lower_sums(f, w, k_lo, k_hi, p)
+        assert str(got.value) == str(exc)
+        return
+    assert bits(lower_sums(f, w, k_lo, k_hi, p)) == bits(want)
+
+
+@pytest.mark.parametrize("k_lo,k_hi", [(-9, -6), (-9, 4), (-1, 6), (3, 8)])
+def test_lower_sums_divergent_tail_in_every_region(k_lo, k_hi):
+    f = RadialFunction.from_values(2, -2, [1.0, 2.0, 3.0],
+                                   lower_tail=TailSpec.constant(1.0), value_at_zero=1.0)
+    with pytest.raises(DivergentTail):
+        lower_sums(f, -0.2, k_lo, k_hi)
 
 
 def test_growth_conditions_compact_support_passes_everything():

@@ -24,7 +24,7 @@ from ultrafrac import (
     v0_constant,
     verify_strict,
 )
-from helpers import catalog_rhs
+from helpers import bits, catalog_rhs, continue_by_rebuild
 
 Q, ALPHA, U0 = 2, 0.5, 1.0
 
@@ -192,6 +192,22 @@ def test_continuation_catalog_contracts_and_solves_mild_equation(catalog_solutio
     assert max(mild_residuals(ext, rhs)) <= 1e-9
     # earlier shells untouched by the extension
     assert ext.values[: len(sol.values)] == sol.values
+
+
+@pytest.mark.parametrize("q,alpha,N", [(2, 0.5, 0), (2, 0.5, 3), (3, 1.0, 0),
+                                        (2, 1.7, 0), (5, 0.3, 1)])
+def test_continuation_matches_per_step_rebuild(q, alpha, N):
+    # running lower sums against a rebuild of f(., u) at every step: same bits
+    rhs = catalog_rhs(q, alpha)
+    sol = picard_solve(rhs, U0, alpha, q, N, k_min=-6, tol=1e-10, max_iter=80)
+    want, want_iters = continue_by_rebuild(sol, rhs, alpha, N + 30, tol=1e-12)
+    ext = continue_solution(sol, rhs, alpha, N + 30, tol=1e-12)
+    assert bits(ext.values) == bits(want)
+    assert ext.fp_iterations == want_iters
+    # resuming from a partly continued solution restarts the sums from its values
+    staged = continue_solution(continue_solution(sol, rhs, alpha, N + 12, tol=1e-12),
+                               rhs, alpha, N + 30, tol=1e-12)
+    assert bits(staged.values) == bits(want)
 
 
 def test_continuation_failure_reports_shell():

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultrafrac import (
-    DalphaParams,
     DomainViolation,
     GrowthKind,
     RadialFunction,
+    RadialGrid,
     TailSpec,
     apply_dalpha,
     check_growth_conditions,
@@ -45,9 +45,8 @@ def test_theta_vanishes_as_alpha_goes_to_zero():
 @settings(max_examples=80, deadline=None)
 @given(alpha=st.floats(1e-6, 10.0), q=st.sampled_from([2, 3, 5, 7, 11]))
 def test_coefficient_signs(alpha, q):
-    params = DalphaParams.of(alpha, q)
-    assert params.theta_alpha < 0.0
-    assert params.diag_coeff > 0.0
+    assert theta(alpha, q) < 0.0
+    assert diag_coeff(alpha, q) > 0.0
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -112,6 +111,43 @@ def test_series_matches_oracle_property(q, alpha, k_min, vals, offset):
     want = dalpha_oracle(u, alpha, n)
     got = apply_dalpha(u, alpha, (n, n)).values[0]
     assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+
+
+def _dilate(u, s):
+    """u(q^s .): the same shell values on the window moved down by s shells."""
+    grid = RadialGrid(u.grid.q, u.grid.k_min - s, u.grid.k_max - s)
+    return RadialFunction(grid, u.values, u.value_at_zero, u.lower_tail, u.upper_tail)
+
+
+def test_lower_scale_factor_overflow_wide_window():
+    # at q = 3, a = 0.8 the factor q^(-(a+1)n) alone overflows at n = -400
+    # although D^a u is representable; checked by the exact dilation
+    # covariance (D^a u)(q^n) = q^(-a s) (D^a u(q^s .))(q^(n-s)), with a
+    # shift that keeps every factor of the reference in range
+    q, a, s = 3, 0.8, -300
+    vals = [min(1.0, qpow(q, k)) for k in range(-400, 400)]
+    u = RadialFunction.from_values(q, -400, vals, value_at_zero=vals[0],
+                                   lower_tail=TailSpec.constant(vals[0]),
+                                   upper_tail=TailSpec.constant(vals[-1]))
+    out = apply_dalpha(u, a)
+    assert all(math.isfinite(v) for v in out.values)
+    ref = apply_dalpha(_dilate(u, s), a, (-400 - s, -380 - s))
+    for n, r in zip(range(-400, -379), ref.values):
+        assert out.eval(n) == pytest.approx(qpow(q, -a * s) * r, rel=1e-10)
+
+
+def test_lower_scale_factor_underflow_keeps_shift_covariance():
+    # at q = 3, a = 1.7 the same factor underflows near the top of a window
+    # anchored at -60; every shell must still obey the dilation covariance
+    q, a, s = 3, 1.7, 150
+    rnd = random.Random(3)
+    u = compact(q, -60, [rnd.uniform(-1.0, 1.0) for _ in range(400)])
+    out = apply_dalpha(u, a)
+    ref = apply_dalpha(_dilate(u, s), a)
+    scale = qpow(q, -a * s)
+    for got, r in zip(out.values, ref.values):
+        want = scale * r
+        assert abs(got - want) <= 1e-9 * max(abs(got), abs(want), 1e-300)
 
 
 def test_oracle_rejects_functions_with_tails():
