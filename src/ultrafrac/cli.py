@@ -9,6 +9,7 @@ maps to a documented nonzero exit code with a one-line message on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -108,9 +109,12 @@ def load_config(path: str) -> RunConfig:
                 raise ConfigError(f"key {key!r} needs an integer, got {value!r}") from None
         elif key in _FLOAT_KEYS:
             try:
-                kwargs[key] = float(value)
+                number = float(value)
             except ValueError:
                 raise ConfigError(f"key {key!r} needs a number, got {value!r}") from None
+            if not math.isfinite(number):
+                raise ConfigError(f"key {key!r} needs a finite number, got {value!r}")
+            kwargs[key] = number
         else:
             kwargs[key] = value
     for required in ("q", "alpha"):

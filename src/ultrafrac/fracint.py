@@ -30,12 +30,12 @@ from functools import lru_cache
 
 from .errors import DomainViolation, ScalingViolation
 from .grid import (
-    LOG_BRANCH_TOL,
     GrowthKind,
     RadialFunction,
     RadialGrid,
     TailSpec,
     check_growth_conditions,
+    is_log_branch,
     lower_sums,
     qpow,
 )
@@ -52,11 +52,6 @@ __all__ = [
     "kernel_constant",
     "bound_constant",
 ]
-
-
-def is_log_branch(alpha: float) -> bool:
-    """True when alpha is routed to the a = 1 logarithmic kernel."""
-    return abs(alpha - 1.0) <= LOG_BRANCH_TOL
 
 
 def front_coeff(alpha: float, q: int) -> float:

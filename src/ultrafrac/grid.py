@@ -25,6 +25,7 @@ from .errors import DivergentTail
 
 __all__ = [
     "qpow",
+    "is_log_branch",
     "RadialGrid",
     "TailKind",
     "TailSpec",
@@ -52,6 +53,11 @@ def qpow(q: float, x: float) -> float:
     deterministic.
     """
     return math.exp(x * math.log(q))
+
+
+def is_log_branch(alpha: float) -> bool:
+    """True when alpha is routed to the a = 1 logarithmic kernel."""
+    return abs(alpha - 1.0) <= LOG_BRANCH_TOL
 
 
 class _Kahan:
@@ -432,7 +438,7 @@ def check_growth_conditions(f: RadialFunction, alpha: float,
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    log_branch = abs(alpha - 1.0) <= LOG_BRANCH_TOL
+    log_branch = is_log_branch(alpha)
     lo, up = f.lower_tail, f.upper_tail
     entries: list[ConditionEntry] = []
 

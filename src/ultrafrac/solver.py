@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import (
     ContractionFailure,
@@ -56,7 +56,7 @@ from .grid import (
     qpow,
     weighted_tail_sum,
 )
-from .vladimirov import apply_dalpha
+from .vladimirov import apply_dalpha, fit_power_tails
 
 __all__ = [
     "RhsSpec",
@@ -91,10 +91,12 @@ class RhsSpec:
     beta: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.M > 0.0:
-            raise ValueError(f"M must be positive, got {self.M}")
-        if not self.F > 0.0:
-            raise ValueError(f"F must be positive, got {self.F}")
+        if not 0.0 < self.M < math.inf:
+            raise ValueError(f"M must be positive and finite, got {self.M}")
+        if not 0.0 < self.F < math.inf:
+            raise ValueError(f"F must be positive and finite, got {self.F}")
+        if self.beta is not None and not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
 
     @classmethod
     def from_expressions(cls, text: str, M: float, F: float, q: int,
@@ -173,7 +175,7 @@ class ResidualReport:
         return all(c.passed for c in self.checks)
 
 
-def _phi_function(q: int, k_min: int, values: tuple[float, ...],
+def _phi_function(q: int, k_min: int, values: Sequence[float],
                   rhs: RhsSpec, upto: int) -> RadialFunction:
     """f(., u(.)) on [k_min, upto], with a constant tail below the cutoff."""
     vals = [rhs.f(qpow(q, k), values[k - k_min]) for k in range(k_min, upto + 1)]
@@ -237,23 +239,22 @@ def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
     if k_min is not None:
         depth = min(depth, k_min)
     grid = RadialGrid(q, depth, N)
-    radii = [qpow(q, k) for k in grid.shells]
     cur = [u0 + start_offset] * grid.size
     history: list[float] = []
     envelope_ok = True
     floor = 64.0 * 2.3e-16 * (abs(u0) + rhs.M * C * qpow(q, alpha * N) + 1.0)
     converged = False
     for it in range(1, max_iter + 1):
-        phi_vals = tuple(rhs.f(r, v) for r, v in zip(radii, cur))
-        phi = RadialFunction(grid, phi_vals, 0.0,
-                             TailSpec.constant(phi_vals[0]), TailSpec.zero())
-        integ = apply_ialpha(phi, alpha, (depth, N))
+        integ = apply_ialpha(_phi_function(q, depth, cur, rhs, N), alpha, (depth, N))
         nxt = [u0 + w for w in integ.values]
         diff = max(abs(a - b) for a, b in zip(nxt, cur))
         history.append(diff)
         if start_offset == 0.0 and diff > floor:
-            envelope = (C ** it) * rhs.M * (rhs.F ** (it - 1)) * qpow(q, it * alpha * N)
-            if diff > envelope * (1.0 + 1e-6):
+            # the envelope C^it M F^(it-1) q^(it a N), in logs: the product
+            # itself overflows for large N or many iterations
+            log_envelope = (it * math.log(C) + math.log(rhs.M)
+                            + (it - 1) * math.log(rhs.F) + it * alpha * N * math.log(q))
+            if math.log(diff) > log_envelope + math.log1p(1e-6):
                 envelope_ok = False
         cur = nxt
         if diff <= tol:
@@ -318,12 +319,11 @@ def continue_solution(sol: MildSolution, rhs: RhsSpec, alpha: float,
     fp_iters = dict(sol.fp_iterations)
     factors = dict(sol.contraction_factors)
     front = front_coeff(alpha, q)
-    phi = [rhs.f(qpow(q, k), v) for k, v in zip(sol.grid.shells, values)]
-    tail = TailSpec.constant(phi[0])
+    phi = _phi_function(q, sol.k_min, values, rhs, sol.frontier)
     w, p = second_sum_weight(alpha)
-    plain = LowerPrefix(tail, q, 1.0, sol.k_min)
-    second = LowerPrefix(tail, q, w, sol.k_min, p)
-    for v in phi:
+    plain = LowerPrefix(phi.lower_tail, q, 1.0, sol.k_min)
+    second = LowerPrefix(phi.lower_tail, q, w, sol.k_min, p)
+    for v in phi.values:
         plain.push(v)
         second.push(v)
     for l in range(sol.frontier, k_max):
@@ -363,21 +363,6 @@ def continue_solution(sol: MildSolution, rhs: RhsSpec, alpha: float,
                         tuple(values), sol.picard_history,
                         sol.picard_iterations, sol.picard_frontier,
                         sol.predicted_rho, sol.envelope_ok, fp_iters, factors)
-
-
-def _fit_upper_tail(q: int, alpha: float, g_last: float, g_prev: float,
-                    anchor: int, tiny: float) -> TailSpec:
-    if abs(g_last) <= tiny:
-        return TailSpec.zero()
-    if g_prev == 0.0:
-        return TailSpec.constant(g_last)
-    ratio = g_last / g_prev
-    if not (ratio > 0.0 and math.isfinite(ratio)):
-        return TailSpec.constant(g_last)
-    e = math.log(ratio) / math.log(q)
-    if not math.isfinite(e) or e >= alpha - 1e-9:
-        return TailSpec.constant(g_last)
-    return TailSpec.power_law(g_last * qpow(q, -e * anchor), e)
 
 
 def verify_strict(sol: MildSolution, rhs: RhsSpec, alpha: float,
@@ -432,10 +417,13 @@ def verify_strict(sol: MildSolution, rhs: RhsSpec, alpha: float,
     checks.append(ConditionEntry("evaluation horizon", True, note))
 
     g_vals = tuple(v - sol.u0 for v in work.values[: horizon - work.k_min + 1])
-    upper = _fit_upper_tail(q, alpha, g_vals[-1], g_vals[-2], horizon,
-                            1e-13 * scale)
-    g = RadialFunction(RadialGrid(q, work.k_min, horizon), g_vals, 0.0,
-                       TailSpec.zero(), upper)
+    g = RadialFunction(RadialGrid(q, work.k_min, horizon), g_vals)
+    # the upper tail stays zero below the reporting accuracy; a fitted
+    # exponent that does not decay faster than q^(a l) becomes a constant
+    if abs(g_vals[-1]) > 1e-13 * scale:
+        g = fit_power_tails(g, fit_lower=False)
+        if g.upper_tail.exponent() >= alpha - 1e-9:
+            g = g.with_tails(upper=TailSpec.constant(g_vals[-1]))
     deriv = apply_dalpha(g, alpha, (n_lo, n_hi))
     residuals = tuple(
         (n, abs(w - rhs.f(qpow(q, n), work.value(n))))
@@ -475,6 +463,8 @@ def _v0_split_checks(work: MildSolution, rhs: RhsSpec, alpha: float,
     worst_far = 0.0
     near_ok = True
     far_ok = True
+    # running sums over shells 1..l, added in ascending order from 0
+    t_plain = t_alpha = b_plain = b_alpha = 0.0
     for l in range(1, l_top + 1):
         kern_hi = qpow(q, (alpha - 1.0) * (l + 1))
         v01 = front * one * (kern_hi * s_plain0 - s_alpha0)
@@ -484,11 +474,12 @@ def _v0_split_checks(work: MildSolution, rhs: RhsSpec, alpha: float,
             near_ok = False
         if beta is None:
             continue
-        t_plain = sum(qpow(q, j) * phi.eval(j) for j in range(1, l + 1))
-        t_alpha = sum(qpow(q, alpha * j) * phi.eval(j) for j in range(1, l + 1))
+        phi_l = phi.eval(l)
+        t_plain += qpow(q, l) * phi_l
+        t_alpha += qpow(q, alpha * l) * phi_l
+        b_plain += qpow(q, (1.0 - beta) * l)
+        b_alpha += qpow(q, (alpha - beta) * l)
         v02 = front * one * (kern_hi * t_plain - t_alpha)
-        b_plain = sum(qpow(q, (1.0 - beta) * j) for j in range(1, l + 1))
-        b_alpha = sum(qpow(q, (alpha - beta) * j) for j in range(1, l + 1))
         bound2 = abs(front) * one * c_far * (kern_hi * b_plain + b_alpha)
         ref = 1.0 + qpow(q, (alpha - beta) * l)
         worst_far = max(worst_far, abs(v02) / ref)

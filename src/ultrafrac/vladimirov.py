@@ -133,9 +133,9 @@ def dalpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:
     return theta(alpha, q) * (sphere + outer)
 
 
-def fit_power_tails(f: RadialFunction, fit_lower: bool = True,
-                    fit_upper: bool = True) -> RadialFunction:
-    """Fit approximate power-law tails from the outermost two window values.
+def fit_power_tails(f: RadialFunction, fit_lower: bool = True) -> RadialFunction:
+    """Fit approximate power-law tails from the outermost two window values:
+    the upper tail always, the lower one unless ``fit_lower`` is false.
 
     The exponent comes from the log-ratio of the last two shells on each
     side; an edge value of zero gives a zero tail and a nonpositive ratio
@@ -162,12 +162,10 @@ def fit_power_tails(f: RadialFunction, fit_lower: bool = True,
         return TailSpec.power_law(edge * qpow(q, -e * anchor), e)
 
     lower = f.lower_tail
-    upper = f.upper_tail
     if fit_lower:
         lower = fit(f.values[0], f.values[1], f.grid.k_min, toward_upper=False)
         if (lower.kind.value == "power_law" and lower.e > 0.0
                 and f.value_at_zero != 0.0):
             lower = TailSpec.constant(f.values[0])
-    if fit_upper:
-        upper = fit(f.values[-1], f.values[-2], f.grid.k_max, toward_upper=True)
+    upper = fit(f.values[-1], f.values[-2], f.grid.k_max, toward_upper=True)
     return RadialFunction(f.grid, f.values, f.value_at_zero, lower, upper)

@@ -7,6 +7,7 @@ import random
 import struct
 
 from ultrafrac import (
+    ConditionEntry,
     RadialFunction,
     RadialGrid,
     TailSpec,
@@ -14,6 +15,7 @@ from ultrafrac import (
     apply_ialpha,
     fit_power_tails,
     front_coeff,
+    is_log_branch,
     qpow,
     weighted_tail_sum,
 )
@@ -135,3 +137,68 @@ def continue_by_rebuild(sol, rhs, alpha: float, k_max: int, tol: float = 1e-12,
         values.append(x)
         iters[l + 1] = its
     return values, iters
+
+
+def v0_split_checks_by_rescan(work, rhs, alpha: float, n_hi: int) -> list:
+    """The v0 split-bound entries with every partial sum over shells 1..l
+    recomputed from scratch at each l.
+
+    The O(L^2) reference for the running sums of ``verify_strict``: the same
+    terms added in the same ascending order, so the entries agree exactly.
+    """
+    q = work.q
+    if is_log_branch(alpha):
+        return [ConditionEntry("v0 split bounds", True,
+                               "log branch: splits are stated for the generic "
+                               "kernel only; skipped")]
+    l_top = min(n_hi + 5, work.frontier - 1)
+    if l_top < 1 or work.k_min > 0:
+        return [ConditionEntry("v0 split bounds", True,
+                               "no shells l >= 1 inside the solved window")]
+    one = 1.0 - 1.0 / q
+    front = front_coeff(alpha, q)
+    phi_vals = [rhs.f(qpow(q, k), v) for k, v in zip(work.grid.shells, work.values)]
+    phi = RadialFunction.from_values(q, work.k_min, phi_vals,
+                                     lower_tail=TailSpec.constant(phi_vals[0]))
+    s_plain0 = weighted_tail_sum(phi, 1.0, "lower", 0)
+    s_alpha0 = weighted_tail_sum(phi, alpha, "lower", 0)
+    c_near = abs(front) * rhs.M * max(1.0, one / (1.0 - qpow(q, -alpha)))
+    beta = rhs.beta
+    c_far = 0.0
+    if beta is not None:
+        c_far = max((abs(phi.eval(j)) * qpow(q, beta * j)
+                     for j in range(1, work.frontier + 1)), default=0.0)
+    slack = 1.0 + 1e-9
+    worst_near = 0.0
+    worst_far = 0.0
+    near_ok = True
+    far_ok = True
+    for l in range(1, l_top + 1):
+        kern_hi = qpow(q, (alpha - 1.0) * (l + 1))
+        v01 = front * one * (kern_hi * s_plain0 - s_alpha0)
+        bound1 = c_near * (kern_hi + 1.0)
+        worst_near = max(worst_near, abs(v01) / bound1)
+        if abs(v01) > bound1 * slack:
+            near_ok = False
+        if beta is None:
+            continue
+        t_plain = sum(qpow(q, j) * phi.eval(j) for j in range(1, l + 1))
+        t_alpha = sum(qpow(q, alpha * j) * phi.eval(j) for j in range(1, l + 1))
+        v02 = front * one * (kern_hi * t_plain - t_alpha)
+        b_plain = sum(qpow(q, (1.0 - beta) * j) for j in range(1, l + 1))
+        b_alpha = sum(qpow(q, (alpha - beta) * j) for j in range(1, l + 1))
+        bound2 = abs(front) * one * c_far * (kern_hi * b_plain + b_alpha)
+        ref = 1.0 + qpow(q, (alpha - beta) * l)
+        worst_far = max(worst_far, abs(v02) / ref)
+        if abs(v02) > bound2 * slack + 1e-300:
+            far_ok = False
+    entries = [ConditionEntry(
+        "v0 near-origin split bound", near_ok,
+        f"|v01| <= C (q^((l+1)(a-1)) + 1) with C = {c_near:.6g}; "
+        f"worst ratio {worst_near:.6g}")]
+    if beta is not None:
+        entries.append(ConditionEntry(
+            "v0 far split bound", far_ok,
+            f"|v02| within the certified decay bound; "
+            f"max |v02| / (1 + q^((a-b)l)) = {worst_far:.6g}"))
+    return entries

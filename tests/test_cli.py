@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from pathlib import Path
 
 import pytest
@@ -79,6 +78,18 @@ def test_config_errors(tmp_path, line, msg):
         load_config(write_cfg(tmp_path, "q = 2\nalpha = 0.5\n" + line + "\n"))
 
 
+@pytest.mark.parametrize("key", ["alpha", "u0", "tol", "M", "F", "beta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, key, value):
+    lines = [line for line in BASE.splitlines() if not line.startswith(key + " ")]
+    cfg = write_cfg(tmp_path, "\n".join(lines) + f"\n{key} = {value}\n")
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[ConfigError]") and "finite" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_config_requires_q_and_alpha(tmp_path):
     with pytest.raises(ConfigError, match="missing required"):
         load_config(write_cfg(tmp_path, "alpha = 0.5\n"))
@@ -123,26 +134,18 @@ def test_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_golden_solve():
-    out = DATA / "_tmp_solve.csv"
-    try:
-        assert main(["solve", "--config", str(DATA / "catalog_solve.cfg"),
-                     "--out", str(out)]) == 0
-        assert out.read_bytes() == (DATA / "golden_solve.csv").read_bytes()
-    finally:
-        if out.exists():
-            os.unlink(out)
+def test_golden_solve(tmp_path):
+    out = tmp_path / "solve.csv"
+    assert main(["solve", "--config", str(DATA / "catalog_solve.cfg"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "golden_solve.csv").read_bytes()
 
 
-def test_golden_verify():
-    out = DATA / "_tmp_verify.csv"
-    try:
-        assert main(["verify", "--config", str(DATA / "catalog_verify.cfg"),
-                     "--out", str(out)]) == 0
-        assert out.read_bytes() == (DATA / "golden_verify.csv").read_bytes()
-    finally:
-        if out.exists():
-            os.unlink(out)
+def test_golden_verify(tmp_path):
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--config", str(DATA / "catalog_verify.cfg"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "golden_verify.csv").read_bytes()
 
 
 def test_golden_solve_n3(tmp_path):
@@ -151,6 +154,19 @@ def test_golden_solve_n3(tmp_path):
     assert main(["solve", "--config", str(DATA / "catalog_solve_n3.cfg"),
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "golden_solve_n3.csv").read_bytes()
+
+
+def test_picard_envelope_at_n60_does_not_abort(tmp_path, capsys):
+    # C^it q^(it a N) overflows a float here; the envelope is compared in logs
+    cfg = write_cfg(tmp_path, "q = 2\nalpha = 0.5\nu0 = 1\nrhs = 0.1*tanh(x)\n"
+                              "M = 0.1\nF = 0.1\nN = 60\nk_min = 0\nk_max = 60\n"
+                              "tol = 1e-9\nmax_iter = 200\n")
+    out = tmp_path / "n60.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 61
+    assert max(float(row[3]) for row in rows) <= 1e-9
 
 
 def test_apply_d_wide_window_q3(tmp_path):

@@ -24,7 +24,7 @@ from ultrafrac import (
     v0_constant,
     verify_strict,
 )
-from helpers import bits, catalog_rhs, continue_by_rebuild
+from helpers import bits, catalog_rhs, continue_by_rebuild, v0_split_checks_by_rescan
 
 Q, ALPHA, U0 = 2, 0.5, 1.0
 
@@ -119,6 +119,18 @@ def test_deepening_honours_requested_window():
     rhs = catalog_rhs(Q, ALPHA)
     sol = picard_solve(rhs, U0, ALPHA, Q, 0, k_min=-120, tol=1e-6, max_iter=40)
     assert sol.k_min <= -120
+
+
+def test_understated_lipschitz_constant_breaks_envelope():
+    # the iterate moves faster than C^it M F^(it-1) q^(it a N) allows for F = 1e-6
+    text = "0.1*tanh(x)*min(1, r^-2)"
+    honest = picard_solve(RhsSpec.from_expressions(text, 0.1, 0.1, Q), U0, ALPHA, Q, 3,
+                          tol=1e-12, max_iter=60)
+    low = picard_solve(RhsSpec.from_expressions(text, 0.1, 1e-6, Q), U0, ALPHA, Q, 3,
+                       tol=1e-12, max_iter=60)
+    assert low.picard_iterations > 1
+    assert honest.envelope_ok is True
+    assert low.envelope_ok is False
 
 
 # --- v0 -----------------------------------------------------------------------
@@ -288,6 +300,27 @@ def test_full_pipeline_above_order_one():
     assert report.max_residual <= 1e-8 * (1.0 + rhs.M)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.7])
+@pytest.mark.parametrize("beta_gap", [None, 0.5, 1.0])
+def test_v0_split_checks_match_rescan(q, alpha, beta_gap):
+    # running partial sums against sums over shells 1..l recomputed at every l
+    beta = None if beta_gap is None else alpha + beta_gap
+    rhs = RhsSpec(lambda r, x: 0.1 * math.tanh(x) * min(1.0, r ** -2.0),
+                  M=0.1, F=0.1, beta=beta)
+    window = (-2, 20)
+    sol = picard_solve(rhs, U0, alpha, q, 0, k_min=window[0] - 10, tol=1e-12, max_iter=60)
+    # solved past the verify horizon (margin <= 60 shells here), so that
+    # verify_strict checks this very solution
+    ext = continue_solution(sol, rhs, alpha, window[1] + 64, tol=1e-13, max_iter=400)
+    report = verify_strict(ext, rhs, alpha, window, force=True)
+    horizon = int(report.checks[1].detail.rsplit(" ", 1)[1])
+    assert horizon <= ext.frontier
+    want = v0_split_checks_by_rescan(ext, rhs, alpha, window[1])
+    assert len(want) == (1 if beta is None else 2)
+    assert list(report.checks[2:]) == want
+
+
 def test_strict_log_branch_runs():
     rhs = catalog_rhs(3, 1.0)
     N = pick_frontier(rhs, q=3, alpha=1.0)
@@ -343,3 +376,11 @@ def test_rhs_spec_validation():
         RhsSpec(lambda r, x: 0.0, M=0.0, F=1.0)
     with pytest.raises(ValueError):
         RhsSpec(lambda r, x: 0.0, M=1.0, F=-1.0)
+
+
+@pytest.mark.parametrize("key", ["M", "F", "beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rhs_spec_rejects_non_finite_constants(key, value):
+    kw = {"M": 1.0, "F": 1.0, "beta": 1.5, key: value}
+    with pytest.raises(ValueError, match=key):
+        RhsSpec(lambda r, x: 0.0, **kw)
