@@ -216,6 +216,10 @@ def _render(cfg: RunConfig, command: str) -> tuple[list[str], list[tuple]]:
         k_lo, k_hi = _report_window(cfg)
         rhs, sol = _solve_pipeline(cfg, command, k_hi)
         mild = mild_residuals(sol, rhs)
+        worst, shell = max((mild[k - sol.k_min], k) for k in range(k_lo, k_hi + 1))
+        if worst > cfg.tol:
+            raise ToleranceNotReached(
+                f"mild residual {worst:.3g} at shell {shell} exceeds tol = {cfg.tol:g}")
         rows = [(k, qpow(cfg.q, k), sol.value(k), mild[k - sol.k_min],
                  sol.iterations_at(k), sol.contraction_at(k))
                 for k in range(k_lo, k_hi + 1)]

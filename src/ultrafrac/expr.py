@@ -1,4 +1,4 @@
-"""Recursive-descent parser and evaluator for right-hand-side expressions.
+"""Recursive-descent parser and closure compiler for right-hand-side expressions.
 
 Grammar (standard precedence; '^' is right-associative and binds tighter
 than unary minus, so -2^2 = -(2^2) and 2^-2 = 2^(-2)):
@@ -12,14 +12,15 @@ than unary minus, so -2^2 = -(2^2) and 2^-2 = 2^(-2)):
 Identifiers are the declared variables (by default r and x), the constant
 q, and the function names sin cos tanh exp log abs min max pow.  Printing
 a tree produces a fully parenthesized form that re-parses to an identical
-tree.
+tree.  :func:`make_callable` compiles a tree once into nested closures.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from .errors import ExprEvalError, ExprNameError, ExprSyntaxError
 
@@ -44,25 +45,17 @@ FUNCTIONS: dict[str, int] = {
 _CONSTANTS = ("q",)
 
 
-def _finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise ExprEvalError(f"{what} produced a non-finite value")
-    return value
-
-
 class RhsExpr:
-    """Abstract syntax tree for f(r, x); nodes are immutable."""
+    """Abstract syntax tree for f(r, x); nodes are immutable.
 
-    def eval(self, env: Mapping[str, float]) -> float:
-        raise NotImplementedError
+    :func:`make_callable` compiles a tree into a function; the nodes carry
+    no evaluator of their own.
+    """
 
 
 @dataclass(frozen=True)
 class Num(RhsExpr):
     value: float
-
-    def eval(self, env: Mapping[str, float]) -> float:
-        return self.value
 
     def __str__(self) -> str:
         return repr(self.value)
@@ -72,12 +65,6 @@ class Num(RhsExpr):
 class Var(RhsExpr):
     name: str
 
-    def eval(self, env: Mapping[str, float]) -> float:
-        try:
-            return env[self.name]
-        except KeyError:
-            raise ExprEvalError(f"variable '{self.name}' is not bound") from None
-
     def __str__(self) -> str:
         return self.name
 
@@ -86,21 +73,8 @@ class Var(RhsExpr):
 class Neg(RhsExpr):
     operand: RhsExpr
 
-    def eval(self, env: Mapping[str, float]) -> float:
-        return -self.operand.eval(env)
-
     def __str__(self) -> str:
         return f"(-{self.operand})"
-
-
-def _power(base: float, exponent: float) -> float:
-    try:
-        return _finite(math.pow(base, exponent), "power")
-    except ValueError:
-        raise ExprEvalError(
-            f"power domain error: ({base!r}) ^ ({exponent!r})") from None
-    except OverflowError:
-        raise ExprEvalError("power overflow") from None
 
 
 @dataclass(frozen=True)
@@ -109,53 +83,14 @@ class BinOp(RhsExpr):
     left: RhsExpr
     right: RhsExpr
 
-    def eval(self, env: Mapping[str, float]) -> float:
-        a = self.left.eval(env)
-        b = self.right.eval(env)
-        if self.op == "+":
-            return _finite(a + b, "addition")
-        if self.op == "-":
-            return _finite(a - b, "subtraction")
-        if self.op == "*":
-            return _finite(a * b, "multiplication")
-        if self.op == "/":
-            if b == 0.0:
-                raise ExprEvalError("division by zero")
-            return _finite(a / b, "division")
-        return _power(a, b)
-
     def __str__(self) -> str:
         return f"({self.left}{self.op}{self.right})"
-
-
-def _call_log(x: float) -> float:
-    if x <= 0.0:
-        raise ExprEvalError(f"log of a nonpositive value ({x!r})")
-    return math.log(x)
-
-
-def _call_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise ExprEvalError("exp overflow") from None
-
-
-_IMPL: dict[str, Callable[..., float]] = {
-    "sin": math.sin, "cos": math.cos, "tanh": math.tanh,
-    "exp": _call_exp, "log": _call_log, "abs": abs,
-    "min": min, "max": max, "pow": _power,
-}
 
 
 @dataclass(frozen=True)
 class Call(RhsExpr):
     name: str
     args: tuple[RhsExpr, ...]
-
-    def eval(self, env: Mapping[str, float]) -> float:
-        vals = [a.eval(env) for a in self.args]
-        return _finite(_IMPL[self.name](*vals), self.name)
 
     def __str__(self) -> str:
         return f"{self.name}({','.join(str(a) for a in self.args)})"
@@ -326,13 +261,151 @@ def parse_expression(text: str, variables: tuple[str, ...] = ("r", "x")) -> RhsE
     return node
 
 
+# --- compiler --------------------------------------------------------------
+#
+# A tree compiles to nested closures a -> float over the argument tuple a.
+# Each closure does the float operation of its node, in the same order and
+# with the same finiteness and domain checks (and ExprEvalError messages) as
+# a walk of the tree over the bindings {**dict(zip(variables, a)), "q":
+# float(q)}, so the results are bit-identical to that walk.
+
+_isfinite = math.isfinite
+
+_Closure = Callable[[tuple], float]
+
+
+def _finite(value: float, what: str) -> float:
+    if not _isfinite(value):
+        raise ExprEvalError(f"{what} produced a non-finite value")
+    return value
+
+
+def _power(base: float, exponent: float) -> float:
+    try:
+        return _finite(math.pow(base, exponent), "power")
+    except ValueError:
+        raise ExprEvalError(
+            f"power domain error: ({base!r}) ^ ({exponent!r})") from None
+    except OverflowError:
+        raise ExprEvalError("power overflow") from None
+
+
+def _call_log(x: float) -> float:
+    if x <= 0.0:
+        raise ExprEvalError(f"log of a nonpositive value ({x!r})")
+    return math.log(x)
+
+
+def _call_exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ExprEvalError("exp overflow") from None
+
+
+_IMPL: dict[str, Callable[..., float]] = {
+    "sin": math.sin, "cos": math.cos, "tanh": math.tanh,
+    "exp": _call_exp, "log": _call_log, "abs": abs,
+    "min": min, "max": max, "pow": _power,
+}
+
+
+def _compile_var(name: str, q: float, variables: tuple[str, ...]) -> _Closure:
+    if name in _CONSTANTS:
+        return lambda a: q
+    # dict(zip(variables, a)) binds a repeated name to its last slot that
+    # has an argument, so the slots are tried from the last one down
+    slots = [i for i, v in enumerate(variables) if v == name][::-1]
+    message = f"variable '{name}' is not bound"
+    if not slots:
+        def unbound(a):
+            raise ExprEvalError(message)
+        return unbound
+    i = slots[0]
+
+    def var(a):
+        try:
+            return a[i]
+        except IndexError:
+            for j in slots[1:]:
+                if j < len(a):
+                    return a[j]
+            raise ExprEvalError(message) from None
+    return var
+
+
+def _divide(x: float, y: float) -> float:
+    if y == 0.0:
+        raise ExprEvalError("division by zero")
+    return x / y
+
+
+#: operator -> (function, what a non-finite result names); any other
+#: operator string evaluates as a power, as '^' does
+_BINOPS: dict[str, tuple[Callable[[float, float], float], str]] = {
+    "+": (operator.add, "addition"), "-": (operator.sub, "subtraction"),
+    "*": (operator.mul, "multiplication"), "/": (_divide, "division"),
+}
+
+
+def _checked(fn: Callable[..., float], what: str, args: list[_Closure]) -> _Closure:
+    """fn of the argument closures' values, left to right, checked finite."""
+    message = f"{what} produced a non-finite value"
+    if len(args) == 1:
+        (a0,) = args
+
+        def call1(a):
+            v = fn(a0(a))
+            if _isfinite(v):
+                return v
+            raise ExprEvalError(message)
+        return call1
+    if len(args) == 2:
+        a0, a1 = args
+
+        def call2(a):
+            v = fn(a0(a), a1(a))
+            if _isfinite(v):
+                return v
+            raise ExprEvalError(message)
+        return call2
+
+    def call_n(a):
+        return _finite(fn(*[c(a) for c in args]), what)
+    return call_n
+
+
+def _compile(node: RhsExpr, q: float, variables: tuple[str, ...]) -> _Closure:
+    if isinstance(node, Num):
+        value = node.value
+        return lambda a: value
+    if isinstance(node, Var):
+        return _compile_var(node.name, q, variables)
+    if isinstance(node, Neg):
+        operand = _compile(node.operand, q, variables)
+        return lambda a: -operand(a)
+    if isinstance(node, BinOp):
+        fn, what = _BINOPS.get(node.op, (_power, "power"))
+        return _checked(fn, what, [_compile(node.left, q, variables),
+                                   _compile(node.right, q, variables)])
+    if isinstance(node, Call):
+        return _checked(_IMPL[node.name], node.name,
+                        [_compile(c, q, variables) for c in node.args])
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 def make_callable(node: RhsExpr, q: float,
                   variables: tuple[str, ...] = ("r", "x")) -> Callable[..., float]:
-    """Close the tree over q and return f(*variable values) -> float."""
+    """Compile the tree once over q and return f(*variable values) -> float.
+
+    Arguments bind to ``variables`` by position (extra ones are ignored);
+    ``q`` evaluates to ``float(q)``.  A variable that is neither ``q`` nor
+    bound by an argument raises :class:`ExprEvalError` when the function is
+    called, not here.
+    """
+    ev = _compile(node, float(q), tuple(variables))
 
     def call(*args: float) -> float:
-        env = dict(zip(variables, args))
-        env["q"] = float(q)
-        return node.eval(env)
+        return ev(args)
 
     return call

@@ -456,8 +456,7 @@ def _v0_split_checks(work: MildSolution, rhs: RhsSpec, alpha: float,
     beta = rhs.beta
     c_far = 0.0
     if beta is not None:
-        c_far = max((abs(phi.eval(j)) * qpow(q, beta * j)
-                     for j in range(1, work.frontier + 1)), default=0.0)
+        c_far, far_shell = _far_decay_constant(phi, q, beta, work.frontier)
     slack = 1.0 + 1e-9
     worst_near = 0.0
     worst_far = 0.0
@@ -489,12 +488,47 @@ def _v0_split_checks(work: MildSolution, rhs: RhsSpec, alpha: float,
         "v0 near-origin split bound", near_ok,
         f"|v01| <= C (q^((l+1)(a-1)) + 1) with C = {c_near:.6g}; "
         f"worst ratio {worst_near:.6g}")]
-    if beta is not None:
+    if beta is not None and math.isinf(c_far):
+        entries.append(ConditionEntry(
+            "v0 far split bound", False,
+            f"the decay constant max |phi_l| q^(b l) over shells 1..{work.frontier} "
+            f"is not a finite float (largest term at shell {far_shell})"))
+    elif beta is not None:
         entries.append(ConditionEntry(
             "v0 far split bound", far_ok,
             f"|v02| within the certified decay bound; "
             f"max |v02| / (1 + q^((a-b)l)) = {worst_far:.6g}"))
     return entries
+
+
+def _far_decay_constant(phi: RadialFunction, q: int, beta: float,
+                        frontier: int) -> tuple[float, int]:
+    """max over shells l = 1..frontier of |phi_l| q^(beta l), and a shell
+    where it is taken; inf when the maximum is not a finite float.
+
+    The products are formed while q^(beta l) is a finite float.  Past that
+    shell the terms are compared by their logarithms, and a zero phi_l
+    contributes 0.
+    """
+    products = []
+    for j in range(1, frontier + 1):
+        try:
+            products.append(abs(phi.eval(j)) * qpow(q, beta * j))
+        except OverflowError:
+            break
+    c_far = max(products, default=0.0)
+    ln_q = math.log(q)
+    logs = [(math.log(a) + beta * j * ln_q, j)
+            for j in range(len(products) + 1, frontier + 1)
+            if (a := abs(phi.eval(j))) > 0.0]
+    if logs:
+        log_big, j_big = max(logs)
+        if not c_far > 0.0 or log_big > math.log(c_far):
+            try:
+                return math.exp(log_big), j_big
+            except OverflowError:
+                return math.inf, j_big
+    return c_far, products.index(c_far) + 1 if products else 0
 
 
 def check_rhs_conditions(rhs: RhsSpec, grid: RadialGrid, samples: int = 200,

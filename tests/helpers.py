@@ -19,6 +19,8 @@ from ultrafrac import (
     qpow,
     weighted_tail_sum,
 )
+from ultrafrac.errors import ExprEvalError
+from ultrafrac.expr import _IMPL, BinOp, Call, Neg, Num, Var, _finite, _power
 from ultrafrac.fracint import offdiag_integral, second_sum_weight
 
 #: shells of exact tail modelling appended above a window before fitting
@@ -202,3 +204,43 @@ def v0_split_checks_by_rescan(work, rhs, alpha: float, n_hi: int) -> list:
             f"|v02| within the certified decay bound; "
             f"max |v02| / (1 + q^((a-b)l)) = {worst_far:.6g}"))
     return entries
+
+
+def eval_by_tree_walk(node, q, variables: tuple[str, ...], *args: float) -> float:
+    """Evaluate an expression tree by walking it over a dict of bindings.
+
+    The reference for the compiled ``make_callable``: every call binds
+    ``dict(zip(variables, args))`` plus ``q = float(q)`` and dispatches on
+    the node type and the operator string at each node.
+    """
+    env = dict(zip(variables, args))
+    env["q"] = float(q)
+
+    def walk(n):
+        if isinstance(n, Num):
+            return n.value
+        if isinstance(n, Var):
+            try:
+                return env[n.name]
+            except KeyError:
+                raise ExprEvalError(f"variable '{n.name}' is not bound") from None
+        if isinstance(n, Neg):
+            return -walk(n.operand)
+        if isinstance(n, BinOp):
+            a = walk(n.left)
+            b = walk(n.right)
+            if n.op == "+":
+                return _finite(a + b, "addition")
+            if n.op == "-":
+                return _finite(a - b, "subtraction")
+            if n.op == "*":
+                return _finite(a * b, "multiplication")
+            if n.op == "/":
+                if b == 0.0:
+                    raise ExprEvalError("division by zero")
+                return _finite(a / b, "division")
+            return _power(a, b)
+        vals = [walk(a) for a in n.args]
+        return _finite(_IMPL[n.name](*vals), n.name)
+
+    return walk(node)

@@ -169,6 +169,35 @@ def test_picard_envelope_at_n60_does_not_abort(tmp_path, capsys):
     assert max(float(row[3]) for row in rows) <= 1e-9
 
 
+def test_solve_residual_above_tol_exits_6(tmp_path, capsys):
+    # I^a of the constant f cancels like q^(a n): the mild residual at shell
+    # 40 is about 1.4e-6 although the Picard difference is exactly 0
+    cfg = write_cfg(tmp_path, "q = 2\nalpha = 0.5\nu0 = 1\nrhs = 0.1*tanh(x)\n"
+                              "M = 0.1\nF = 0.1\nN = 40\nk_min = 0\nk_max = 40\n"
+                              "tol = 1e-9\nmax_iter = 200\n")
+    out = tmp_path / "n40.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error[ToleranceNotReached]: mild residual ")
+    assert "at shell 40" in err and "tol = 1e-09" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_far_decay_constant_does_not_overflow(tmp_path, capsys):
+    # q^(beta l) overflows a float from shell 164 on, below the horizon 174
+    cfg = write_cfg(tmp_path, "q = 5\nalpha = 1.7\nu0 = 1\n"
+                              "rhs = 0.1*tanh(x)*min(1, r^-2)\nM = 0.1\nF = 0.1\n"
+                              "beta = 2.7\nN = 0\nk_min = -3\nk_max = 150\n")
+    out = tmp_path / "far.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 154
+    assert all(math.isfinite(float(row.split(",")[3])) for row in rows)
+
+
 def test_apply_d_wide_window_q3(tmp_path):
     # the lower-sum scale factor q^(-(a+1)n) alone overflows at n = -400
     cfg = write_cfg(tmp_path, "q = 3\nalpha = 0.8\nrhs = min(1, r)\n"
@@ -259,12 +288,19 @@ def test_contraction_failure_exit_code(tmp_path, capsys):
 
 
 def test_module_entry_point_runs(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import ultrafrac
+
+    # the child imports the package from where this process found it
+    src = str(Path(ultrafrac.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     cfg = write_cfg(tmp_path, "q = 2\nalpha = 0.5\nm_max = 3\n")
     proc = subprocess.run([sys.executable, "-m", "ultrafrac", "constants",
-                           "--config", cfg], capture_output=True, text=True)
+                           "--config", cfg], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("m,d_alpha_m")
 

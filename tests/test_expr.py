@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultrafrac import (
+    FUNCTIONS,
     ExprEvalError,
     ExprNameError,
     ExprSyntaxError,
     make_callable,
     parse_expression,
+    qpow,
 )
 from ultrafrac.expr import BinOp, Call, Neg, Num, Var
+from helpers import eval_by_tree_walk
 
 MALFORMED = [
     "",
@@ -155,3 +160,98 @@ def _trees(depth):
 @given(tree=_trees(3))
 def test_print_parse_round_trip(tree):
     assert parse_expression(str(tree)) == tree
+
+
+# --- compiled evaluation against the tree walk ------------------------------
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e300, -1e300, 1e-310]
+_num_values = st.one_of(st.sampled_from(_SPECIAL + [math.inf, -math.inf]),
+                        st.floats(allow_nan=False))
+_inputs = st.one_of(st.sampled_from(_SPECIAL + [math.nan, math.inf]), st.floats())
+
+
+def _call_nodes(sub):
+    def with_args(name):
+        # mostly the declared arity; other counts reach the function as given
+        count = st.one_of(st.just(FUNCTIONS[name]), st.integers(0, 3))
+        return count.flatmap(lambda n: st.tuples(*[sub] * n)).map(
+            lambda args: Call(name, args))
+    return st.sampled_from(sorted(FUNCTIONS)).flatmap(with_args)
+
+
+_any_tree = st.recursive(
+    st.one_of(_num_values.map(Num),
+              st.sampled_from(["r", "x", "l", "q", "y"]).map(Var)),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: BinOp(*t)),
+        _call_nodes(sub)),
+    max_leaves=12)
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=400, deadline=None)
+@example(tree=Call("tanh", (Var("x"),)), q=2, variables=("r", "x"), args=[1.0, math.nan])
+@example(tree=Call("max", (Var("r"), Num(1.0), Var("x"))), q=2, variables=("r", "x"),
+         args=[0.5, math.inf])
+@example(tree=Neg(Var("r")), q=3, variables=("r", "r"), args=[-0.0])
+@given(tree=_any_tree, q=st.sampled_from([2, 3, 5, 7]),
+       variables=st.sampled_from([("r", "x"), ("x", "r"), ("l",), ("r", "r"), ()]),
+       args=st.lists(_inputs, max_size=3))
+def test_compiled_matches_tree_walk(tree, q, variables, args):
+    f = make_callable(tree, q, variables)
+    assert _outcome(f, *args) == _outcome(eval_by_tree_walk, tree, q, variables, *args)
+
+
+def test_unbound_variable_raises_when_called():
+    f = make_callable(Var("y"), 2)              # not a declared variable
+    with pytest.raises(ExprEvalError, match="variable 'y' is not bound"):
+        f(1.0, 2.0)
+    g = make_callable(parse_expression("r*x"), 2)
+    with pytest.raises(ExprEvalError, match="variable 'x' is not bound"):
+        g(1.0)                                  # no argument for x
+    assert g(1.0, 2.0, 99.0) == 2.0             # extra arguments are ignored
+
+
+def test_q_evaluates_to_float_q():
+    for q in (2, 3, 7):
+        value = make_callable(Var("q"), q)(0.5, 0.5)
+        assert type(value) is float and value == float(q)
+    # q is the constant even where a declared variable shares its name
+    assert make_callable(Var("q"), 5, ("q",))(9.0) == 5.0
+
+
+_CATALOG_EXPRESSIONS = [
+    ("0.1*tanh(x)*min(1, r^-2)", ("r", "x")),
+    ("0.5*sin(x)*min(1, r^-2)", ("r", "x")),
+    ("0.05*sin(x + 1.3)*min(1, r^-2)", ("r", "x")),
+    ("0.05*x/(1 + x^2)*min(1, r^-2)", ("r", "x")),
+    ("min(0.1, q^(-0.5*l)/2)", ("l",)),
+    ("min(1, r)", ("r",)),
+]
+
+
+def test_catalog_expressions_keep_their_bits():
+    # sha256 of the values the tree-walk evaluator gave on these points
+    out = []
+    for q in (2, 3, 5):
+        for text, names in _CATALOG_EXPRESSIONS:
+            f = make_callable(parse_expression(text, names), q, names)
+            for k in range(-8, 9):
+                r = qpow(q, k)
+                if names == ("r", "x"):
+                    out += [f(r, x) for x in (-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 7.0)]
+                elif names == ("l",):
+                    out.append(f(float(k)))
+                else:
+                    out.append(f(r))
+    assert len(out) == 1530
+    digest = hashlib.sha256(struct.pack(f"<{len(out)}d", *out)).hexdigest()
+    assert digest == "ee57c10864f862988594bbe4c6314e030263b047c62d447ad280e13d79959991"

@@ -10,8 +10,10 @@ from ultrafrac import (
     ContractionFailure,
     FrontierTooLow,
     MarginTooSmall,
+    MildSolution,
     MissingBeta,
     NoContraction,
+    RadialFunction,
     RadialGrid,
     RhsSpec,
     ToleranceNotReached,
@@ -24,6 +26,7 @@ from ultrafrac import (
     v0_constant,
     verify_strict,
 )
+from ultrafrac.solver import _far_decay_constant, _v0_split_checks
 from helpers import bits, catalog_rhs, continue_by_rebuild, v0_split_checks_by_rescan
 
 Q, ALPHA, U0 = 2, 0.5, 1.0
@@ -319,6 +322,44 @@ def test_v0_split_checks_match_rescan(q, alpha, beta_gap):
     want = v0_split_checks_by_rescan(ext, rhs, alpha, window[1])
     assert len(want) == (1 if beta is None else 2)
     assert list(report.checks[2:]) == want
+
+
+def _shells_from_one(q, vals):
+    return RadialFunction.from_values(q, 1, vals)
+
+
+def test_far_decay_constant_products_then_logs():
+    q, beta = 5, 2.7                     # q^(beta l) overflows from shell 164 on
+    # while every q^(beta l) is finite, the maximum is the old product maximum
+    phi = _shells_from_one(q, [math.sin(j) * qpow(q, -2.0 * j) for j in range(1, 164)])
+    want = max(abs(phi.eval(j)) * qpow(q, beta * j) for j in range(1, 164))
+    c, j = _far_decay_constant(phi, q, beta, 163)
+    assert bits([c]) == bits([want])
+    assert abs(phi.eval(j)) * qpow(q, beta * j) == want
+    # past shell 163 the terms are compared in logs; here the last one wins
+    phi = _shells_from_one(q, [qpow(q, -2.0 * j) for j in range(1, 201)])
+    c, j = _far_decay_constant(phi, q, beta, 200)
+    assert j == 200
+    assert c == pytest.approx(qpow(q, 0.7 * 200), rel=1e-12)
+    # zero values past the cut contribute 0
+    phi = _shells_from_one(q, [0.5 * qpow(q, -beta * j) if j <= 10 else 0.0
+                               for j in range(1, 201)])
+    want = max(abs(phi.eval(j)) * qpow(q, beta * j) for j in range(1, 11))
+    assert _far_decay_constant(phi, q, beta, 200)[0] == want
+    # a maximum above the largest float is inf, with the shell of its term
+    phi = _shells_from_one(q, [0.1] * 200)
+    assert _far_decay_constant(phi, q, beta, 200) == (math.inf, 200)
+
+
+def test_v0_far_split_entry_fails_when_its_constant_overflows():
+    q, alpha = 5, 1.7
+    rhs = RhsSpec(lambda r, x: 0.1, M=0.1, F=0.1, beta=2.7)
+    grid = RadialGrid(q, -3, 200)
+    work = MildSolution(grid, alpha, U0, (U0,) * grid.size, (0.0,), 1, 0, 0.0, True)
+    near, far = _v0_split_checks(work, rhs, alpha, 3)
+    assert near.passed
+    assert not far.passed
+    assert "not a finite float" in far.detail and "shell 200" in far.detail
 
 
 def test_strict_log_branch_runs():
