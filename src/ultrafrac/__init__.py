@@ -17,17 +17,16 @@ from .errors import (
     ExprEvalError,
     ExprNameError,
     ExprSyntaxError,
-    FrontierTooLow,
     MarginTooSmall,
     MissingBeta,
     NoContraction,
+    RangeExceeded,
     ScalingViolation,
     ToleranceNotReached,
     UltrafracError,
 )
 from .expr import FUNCTIONS, RhsExpr, make_callable, parse_expression
 from .fracint import (
-    KernelConstant,
     apply_ialpha,
     bound_constant,
     front_coeff,
@@ -58,7 +57,6 @@ from .solver import (
     continue_solution,
     mild_residuals,
     picard_solve,
-    v0_constant,
     verify_strict,
 )
 from .vladimirov import (

@@ -19,10 +19,10 @@ from .errors import (
     DivergentTail,
     DomainViolation,
     ExpressionError,
-    FrontierTooLow,
     MarginTooSmall,
     MissingBeta,
     NoContraction,
+    RangeExceeded,
     ScalingViolation,
     ToleranceNotReached,
     UltrafracError,
@@ -125,6 +125,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"q must be an integer >= 2, got {cfg.q}")
     if cfg.alpha <= 0.0:
         raise ConfigError(f"alpha must be positive, got {cfg.alpha}")
+    if qpow(cfg.q, -cfg.alpha) == 1.0:
+        raise ConfigError(f"alpha = {cfg.alpha!r} is too small: q^-alpha rounds to 1")
     if cfg.tol <= 0.0:
         raise ConfigError("tol must be positive")
     if cfg.max_iter < 1:
@@ -183,7 +185,6 @@ def _build_rhs(cfg: RunConfig, command: str) -> RhsSpec:
 
 def _solve_pipeline(cfg: RunConfig, command: str,
                     extend_to: int) -> tuple[RhsSpec, MildSolution]:
-    _require(cfg, command, "N", "k_min")
     rhs = _build_rhs(cfg, command)
     sol = picard_solve(rhs, cfg.u0, cfg.alpha, cfg.q, cfg.N,
                        k_min=cfg.k_min - _SOLVE_MARGIN,
@@ -240,7 +241,7 @@ def _render(cfg: RunConfig, command: str) -> tuple[list[str], list[tuple]]:
         grid = RadialGrid(cfg.q, 0, 0)
         rows = []
         for m in range(cfg.m_max + 1):
-            d = kernel_constant(cfg.alpha, m, grid).d_value
+            d = kernel_constant(cfg.alpha, m, grid)
             rows.append((m, d, d * qpow(cfg.q, cfg.alpha * m)))
         return ["m", "d_alpha_m", "d_alpha_m_times_q_alpha_m"], rows
 
@@ -286,8 +287,8 @@ _EXIT_TABLE: tuple[tuple[type, int], ...] = (
     (ContractionFailure, 7),
     (MissingBeta, 8),
     (MarginTooSmall, 8),
-    (FrontierTooLow, 8),
     (ScalingViolation, 9),
+    (RangeExceeded, 11),
 )
 
 

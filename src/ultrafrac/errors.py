@@ -37,16 +37,17 @@ class ContractionFailure(UltrafracError):
         self.factor = factor
 
 
-class FrontierTooLow(UltrafracError):
-    """The solution has not been computed far enough out for the request."""
-
-
 class MissingBeta(UltrafracError):
     """Strict verification needs a decay exponent beta greater than alpha."""
 
 
 class MarginTooSmall(UltrafracError):
     """Strict verification needs the solved window to overhang the report window."""
+
+
+class RangeExceeded(UltrafracError):
+    """A power q^x leaves the float range: a radius, weight or kernel factor
+    that the shell series needs cannot be represented."""
 
 
 class ConfigError(UltrafracError):

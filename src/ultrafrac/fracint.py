@@ -25,7 +25,6 @@ used by the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainViolation, ScalingViolation
@@ -44,11 +43,9 @@ __all__ = [
     "is_log_branch",
     "front_coeff",
     "second_sum_weight",
-    "kernel_sums",
     "offdiag_integral",
     "apply_ialpha",
     "ialpha_oracle",
-    "KernelConstant",
     "kernel_constant",
     "bound_constant",
 ]
@@ -76,14 +73,6 @@ def second_sum_weight(alpha: float) -> tuple[float, int]:
     sum q^(a j) u(q^j), or sum j q^j u(q^j) on the log branch.
     """
     return (1.0, 1) if is_log_branch(alpha) else (alpha, 0)
-
-
-def kernel_sums(u: RadialFunction, alpha: float, k_lo: int,
-                k_hi: int) -> tuple[list[float], list[float]]:
-    """The two lower sums of :func:`offdiag_integral` through every shell
-    k0 in [k_lo, k_hi], each in one ascending pass."""
-    w, p = second_sum_weight(alpha)
-    return lower_sums(u, 1.0, k_lo, k_hi), lower_sums(u, w, k_lo, k_hi, p)
 
 
 def offdiag_integral(alpha: float, q: int, front: float, n: int,
@@ -116,7 +105,9 @@ def apply_ialpha(u: RadialFunction, alpha: float,
     if n_lo > n_hi:
         raise ValueError(f"empty output window [{n_lo}, {n_hi}]")
     front = front_coeff(alpha, q)
-    s_plain, s_second = kernel_sums(u, alpha, n_lo - 1, n_hi - 1)
+    w, p = second_sum_weight(alpha)
+    s_plain = lower_sums(u, 1.0, n_lo - 1, n_hi - 1)
+    s_second = lower_sums(u, w, n_lo - 1, n_hi - 1, p)
     values = []
     for n, sp, ss in zip(range(n_lo, n_hi + 1), s_plain, s_second):
         diag = qpow(q, alpha * (n - 1)) * u.eval(n)
@@ -163,15 +154,6 @@ def ialpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:
     return front * total
 
 
-@dataclass(frozen=True)
-class KernelConstant:
-    """Kernel moment constant: I_{a,m}(q^n) = d_value * q^(a(m+1)n)."""
-
-    alpha: float
-    m: int
-    d_value: float
-
-
 def _kernel_moment(alpha: float, m: int, q: int, n: int) -> float:
     """I_{a,m}(q^n) as an exact geometric closed form."""
     one = 1.0 - 1.0 / q
@@ -188,8 +170,9 @@ def _kernel_moment(alpha: float, m: int, q: int, n: int) -> float:
                         - lower_geom(alpha + alpha * m))
 
 
-def kernel_constant(alpha: float, m: int, grid: RadialGrid) -> KernelConstant:
-    """Compute d_{a,m} and verify its homogeneity across two shells.
+def kernel_constant(alpha: float, m: int, grid: RadialGrid) -> float:
+    """d_{a,m}, with I_{a,m}(q^n) = d_{a,m} q^(a(m+1)n), checked for
+    homogeneity across two shells.
 
     The moment is evaluated at n = 0 and at a second shell (7, or closer in
     when q^(a(m+1)n) would overflow); the rescaled values must agree to
@@ -211,7 +194,7 @@ def kernel_constant(alpha: float, m: int, grid: RadialGrid) -> KernelConstant:
             f"d(n=0) = {d0!r}, d(n={n2}) = {d2!r}")
     if d0 <= 0.0:
         raise ScalingViolation(f"kernel constant must be positive, got {d0!r}")
-    return KernelConstant(alpha, m, d0)
+    return d0
 
 
 _BOUND_M_RANGE = 41  # m in [0, 40]; the uniform constant is estimated over this range
@@ -228,6 +211,6 @@ def bound_constant(alpha: float, grid: RadialGrid) -> float:
     Drives the contraction factor predictions of the solver.
     """
     q = grid.q
-    a_hat = max(kernel_constant(alpha, m, grid).d_value * qpow(q, alpha * m)
+    a_hat = max(kernel_constant(alpha, m, grid) * qpow(q, alpha * m)
                 for m in range(_BOUND_M_RANGE))
     return qpow(q, -alpha) + abs(front_coeff(alpha, q)) * _BOUND_MARGIN * a_hat

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DivergentTail
+from .errors import DivergentTail, RangeExceeded
 
 __all__ = [
     "qpow",
@@ -50,9 +50,12 @@ def qpow(q: float, x: float) -> float:
 
     Single shared routine: identical exponents give bit-identical floats in
     every module, which makes cancellation between separately computed terms
-    deterministic.
+    deterministic.  Raises :class:`RangeExceeded` when q**x overflows a float.
     """
-    return math.exp(x * math.log(q))
+    try:
+        return math.exp(x * math.log(q))
+    except OverflowError:
+        raise RangeExceeded(f"q^x overflows a float: q = {q}, x = {x!r}") from None
 
 
 def is_log_branch(alpha: float) -> bool:
@@ -353,15 +356,15 @@ def lower_sums(f: RadialFunction, w: float, k_lo: int, k_hi: int,
     From k0 = k_min - 1 on, the per-shell sums share the tail anchor
     k_min - 1 and differ only in how many ascending terms follow it, so one
     :class:`LowerPrefix` yields all of them bit for bit in O(k_hi - k_min)
-    terms.  Below k_min - 1 the anchor moves with k0, and those few sums are
-    taken one by one.
+    terms.  Below k_min - 1 the sum is the tail closed form anchored at k0
+    alone, which is the value of a prefix started at k0 + 1.
     """
-    k_min = f.grid.k_min
-    out = [weighted_tail_sum(f, w, "lower", k0, index_power)
+    q, k_min = f.grid.q, f.grid.k_min
+    out = [LowerPrefix(f.lower_tail, q, w, k0 + 1, index_power).value
            for k0 in range(k_lo, min(k_hi + 1, k_min - 1))]
     if k_hi < k_min - 1:
         return out
-    run = LowerPrefix(f.lower_tail, f.grid.q, w, k_min, index_power)
+    run = LowerPrefix(f.lower_tail, q, w, k_min, index_power)
     if k_lo <= k_min - 1:
         out.append(run.value)
     for k in range(k_min, k_hi + 1):

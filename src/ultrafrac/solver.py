@@ -11,10 +11,10 @@ problem
 
     u(q^(l+1)) = u0 + v0 + q^(a l) * f(q^(l+1), u(q^(l+1))),
 
-where v0 is the known integral over the already-solved ball (see
-:func:`v0_constant`).  :func:`verify_strict` checks that the mild solution
-actually satisfies the differential equation pointwise, by applying the
-derivative operator to u - u0 and comparing with f along the solution.
+where v0 is the known integral over the already-solved ball.
+:func:`verify_strict` checks that the mild solution actually satisfies
+the differential equation pointwise, by applying the derivative operator
+to u - u0 and comparing with f along the solution.
 
 Shells below the solve window are handled through a constant tail model
 for f(., u) anchored at the cutoff; the cutoff is chosen so that the
@@ -30,10 +30,10 @@ from typing import Callable, Sequence
 from .errors import (
     ContractionFailure,
     DivergentTail,
-    FrontierTooLow,
     MarginTooSmall,
     MissingBeta,
     NoContraction,
+    RangeExceeded,
     ToleranceNotReached,
 )
 from .expr import make_callable, parse_expression
@@ -42,7 +42,6 @@ from .fracint import (
     bound_constant,
     front_coeff,
     is_log_branch,
-    kernel_sums,
     offdiag_integral,
     second_sum_weight,
 )
@@ -53,8 +52,8 @@ from .grid import (
     RadialFunction,
     RadialGrid,
     TailSpec,
+    lower_sums,
     qpow,
-    weighted_tail_sum,
 )
 from .vladimirov import apply_dalpha, fit_power_tails
 
@@ -64,7 +63,6 @@ __all__ = [
     "ResidualReport",
     "picard_solve",
     "mild_residuals",
-    "v0_constant",
     "continue_solution",
     "verify_strict",
     "check_rhs_conditions",
@@ -207,6 +205,9 @@ def _certified_depth(alpha: float, q: int, M: float, tol: float, N: int) -> int:
     target = tol / 10.0
     while _truncation_bound(alpha, q, 2.0 * M, k0, N) > target:
         k0 -= 1
+        # the first Picard map's kernel factor at the cutoff: past the float
+        # range it raises RangeExceeded here, before any window is allocated
+        qpow(q, (alpha - 1.0) * k0)
     return k0
 
 
@@ -279,23 +280,6 @@ def mild_residuals(sol: MildSolution, rhs: RhsSpec) -> tuple[float, ...]:
     return tuple(abs(u - (sol.u0 + w)) for u, w in zip(sol.values, integ.values))
 
 
-def v0_constant(sol: MildSolution, rhs: RhsSpec, alpha: float, N: int) -> float:
-    """The known constant in the one-shell continuation equation at N + 1.
-
-    Integral of the kernel difference against f(., u(.)) over the solved
-    ball |y| <= q^N; the lower tail is the certified constant model of the
-    Picard stage.  Requires the solution through shell N.
-    """
-    if sol.frontier < N:
-        raise FrontierTooLow(
-            f"solution frontier {sol.frontier} is below requested shell {N}")
-    q = sol.q
-    phi = _phi_function(q, sol.k_min, sol.values, rhs, N)
-    s_plain, s_second = kernel_sums(phi, alpha, N, N)
-    return offdiag_integral(alpha, q, front_coeff(alpha, q), N + 1,
-                            s_plain[0], s_second[0])
-
-
 def continue_solution(sol: MildSolution, rhs: RhsSpec, alpha: float,
                       k_max: int, tol: float = 1e-12,
                       max_iter: int = 200) -> MildSolution:
@@ -306,10 +290,10 @@ def continue_solution(sol: MildSolution, rhs: RhsSpec, alpha: float,
     q^(a l) * F_(l+1) is recorded.  Raises :class:`ContractionFailure` at
     the first shell whose iteration diverges or stalls.
 
-    v0 reads f(., u) through two lower sums over the solved shells.  They
-    are kept running across steps, so each new shell costs one more
-    evaluation of f and one more term per sum; the values are bit-identical
-    to :func:`v0_constant` at every step.
+    v0 reads f(., u) through two lower sums over the solved shells, with
+    the constant lower tail of the Picard stage.  They are kept running
+    across steps, so each new shell costs one more evaluation of f and one
+    more term per sum.
     """
     if k_max <= sol.frontier:
         return sol
@@ -450,8 +434,8 @@ def _v0_split_checks(work: MildSolution, rhs: RhsSpec, alpha: float,
     one = 1.0 - 1.0 / q
     front = front_coeff(alpha, q)
     phi = _phi_function(q, work.k_min, work.values, rhs, work.frontier)
-    s_plain0 = weighted_tail_sum(phi, 1.0, "lower", 0)
-    s_alpha0 = weighted_tail_sum(phi, alpha, "lower", 0)
+    s_plain0 = lower_sums(phi, 1.0, 0, 0)[0]
+    s_alpha0 = lower_sums(phi, alpha, 0, 0)[0]
     c_near = abs(front) * rhs.M * max(1.0, one / (1.0 - qpow(q, -alpha)))
     beta = rhs.beta
     c_far = 0.0
@@ -466,7 +450,7 @@ def _v0_split_checks(work: MildSolution, rhs: RhsSpec, alpha: float,
     t_plain = t_alpha = b_plain = b_alpha = 0.0
     for l in range(1, l_top + 1):
         kern_hi = qpow(q, (alpha - 1.0) * (l + 1))
-        v01 = front * one * (kern_hi * s_plain0 - s_alpha0)
+        v01 = offdiag_integral(alpha, q, front, l + 1, s_plain0, s_alpha0)
         bound1 = c_near * (kern_hi + 1.0)
         worst_near = max(worst_near, abs(v01) / bound1)
         if abs(v01) > bound1 * slack:
@@ -478,7 +462,7 @@ def _v0_split_checks(work: MildSolution, rhs: RhsSpec, alpha: float,
         t_alpha += qpow(q, alpha * l) * phi_l
         b_plain += qpow(q, (1.0 - beta) * l)
         b_alpha += qpow(q, (alpha - beta) * l)
-        v02 = front * one * (kern_hi * t_plain - t_alpha)
+        v02 = offdiag_integral(alpha, q, front, l + 1, t_plain, t_alpha)
         bound2 = abs(front) * one * c_far * (kern_hi * b_plain + b_alpha)
         ref = 1.0 + qpow(q, (alpha - beta) * l)
         worst_far = max(worst_far, abs(v02) / ref)
@@ -514,7 +498,7 @@ def _far_decay_constant(phi: RadialFunction, q: int, beta: float,
     for j in range(1, frontier + 1):
         try:
             products.append(abs(phi.eval(j)) * qpow(q, beta * j))
-        except OverflowError:
+        except RangeExceeded:
             break
     c_far = max(products, default=0.0)
     ln_q = math.log(q)

@@ -16,12 +16,14 @@ from ultrafrac import (
     fit_power_tails,
     front_coeff,
     is_log_branch,
+    lower_sums,
     qpow,
     weighted_tail_sum,
 )
 from ultrafrac.errors import ExprEvalError
 from ultrafrac.expr import _IMPL, BinOp, Call, Neg, Num, Var, _finite, _power
 from ultrafrac.fracint import offdiag_integral, second_sum_weight
+from ultrafrac.solver import _phi_function
 
 #: shells of exact tail modelling appended above a window before fitting
 UPPER_PAD = 45
@@ -102,6 +104,20 @@ def catalog_rhs(q: int = 2, alpha: float = 0.5):
         return min(0.1, qpow(q, -alpha * l) / 2.0)
 
     return RhsSpec(f, M=0.1, F=0.1, F_l=F_l, beta=alpha + 1.0)
+
+
+def v0_at(sol, rhs, alpha: float, N: int) -> float:
+    """The known constant v0 of the one-shell continuation equation at N + 1.
+
+    The integral over the solved ball |y| <= q^N of the kernel difference
+    against f(., u), with the constant lower tail of the Picard stage, taken
+    at one shell: ``continue_solution`` keeps the same two sums running.
+    """
+    q = sol.q
+    phi = _phi_function(q, sol.k_min, sol.values, rhs, N)
+    w, p = second_sum_weight(alpha)
+    return offdiag_integral(alpha, q, front_coeff(alpha, q), N + 1,
+                            lower_sums(phi, 1.0, N, N)[0], lower_sums(phi, w, N, N, p)[0])
 
 
 def continue_by_rebuild(sol, rhs, alpha: float, k_max: int, tol: float = 1e-12,

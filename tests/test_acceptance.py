@@ -165,7 +165,7 @@ def test_criterion_5_kernel_constants():
         for alpha in ALPHAS:
             scaled = []
             for m in range(41):
-                d = kernel_constant(alpha, m, grid).d_value
+                d = kernel_constant(alpha, m, grid)
                 scaled.append(d * qpow(q, alpha * m))
                 if alpha * (m + 1) * math.log(q) < 500.0:
                     ratio = (_kernel_moment(alpha, m, q, 5)

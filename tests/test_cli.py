@@ -198,6 +198,53 @@ def test_verify_far_decay_constant_does_not_overflow(tmp_path, capsys):
     assert all(math.isfinite(float(row.split(",")[3])) for row in rows)
 
 
+RANGE_CASES = {
+    # the radius q^(l+1) of shell 1025 in the continuation
+    "radius": ("solve", BASE.replace("k_max = 4", "k_max = 2000"), 11, "RangeExceeded"),
+    # the weight q^(a k) of the running lower sums at shell 604
+    "weight": ("solve", BASE.replace("alpha = 0.5", "alpha = 1.7")
+               .replace("r^-2)", "r^-2.5)").replace("q^(-0.5*l)", "q^(-1.7*l)")
+               .replace("beta = 1.5", "beta = 2.5").replace("k_max = 4", "k_max = 700"),
+               11, "RangeExceeded"),
+    # both halves of the derivative's split factor q^(-(a+1)n) at n = -800
+    "dalpha-scale": ("apply-d", "q = 3\nalpha = 0.8\nrhs = min(1, r)\n"
+                                "k_min = -800\nk_max = 600\n", 11, "RangeExceeded"),
+    # q^-alpha rounds to 1: the kernel moments would divide by zero
+    "alpha-1e-17-solve": ("solve", BASE.replace("alpha = 0.5", "alpha = 1e-17"),
+                          2, "ConfigError"),
+    "alpha-1e-17-constants": ("constants", "q = 2\nalpha = 1e-17\n", 2, "ConfigError"),
+    # the certified cutoff lies near shell -3e13, past the float range of
+    # the first Picard map's kernel factor
+    "alpha-1e-12": ("solve", BASE.replace("alpha = 0.5", "alpha = 1e-12"),
+                    11, "RangeExceeded"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_CASES))
+def test_out_of_range_inputs_end_in_typed_errors(tmp_path, capsys, case):
+    command, text, code, name = RANGE_CASES[case]
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{name}]: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_deep_cutoff_inside_float_range_still_solves(tmp_path, capsys):
+    # tol = 1e-300 puts the certified cutoff at shell -1997, where the kernel
+    # factor q^((a-1) k) is still a finite float
+    cfg = write_cfg(tmp_path, "q = 2\nalpha = 0.5\nu0 = 1\nrhs = 0.1*tanh(x)\n"
+                              "M = 0.1\nF = 0.1\nN = 0\nk_min = -3\nk_max = 3\n"
+                              "tol = 1e-300\n")
+    out = tmp_path / "deep.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(out.read_text().splitlines()) == 8
+
+
 def test_apply_d_wide_window_q3(tmp_path):
     # the lower-sum scale factor q^(-(a+1)n) alone overflows at n = -400
     cfg = write_cfg(tmp_path, "q = 3\nalpha = 0.8\nrhs = min(1, r)\n"

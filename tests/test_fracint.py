@@ -196,11 +196,11 @@ def test_kernel_constant_positive_and_shell_independent():
         grid = RadialGrid(q, 0, 0)
         for alpha in (0.5, 1.0, 1.7, 2.5):
             for m in (0, 1, 5, 17):
-                kc = kernel_constant(alpha, m, grid)
-                assert kc.d_value > 0.0
+                d = kernel_constant(alpha, m, grid)
+                assert d > 0.0
                 n = 4
                 direct = _kernel_moment_brute(alpha, m, q, n, depth=300)
-                assert kc.d_value * qpow(q, alpha * (m + 1) * n) == pytest.approx(
+                assert d * qpow(q, alpha * (m + 1) * n) == pytest.approx(
                     direct, rel=1e-11)
 
 
@@ -217,9 +217,9 @@ def _kernel_moment_brute(alpha, m, q, n, depth):
 
 
 def test_kernel_constant_log_branch_brute_force():
-    kc = kernel_constant(1.0, 0, RadialGrid(3, 0, 0))
+    d = kernel_constant(1.0, 0, RadialGrid(3, 0, 0))
     brute = _kernel_moment_brute(1.0, 0, 3, 0, depth=300)
-    assert kc.d_value == pytest.approx(brute, rel=1e-12)
+    assert d == pytest.approx(brute, rel=1e-12)
 
 
 def test_kernel_homogeneity_ratio():
@@ -233,7 +233,7 @@ def test_kernel_decay_uniform_in_m():
     for q in (2, 3, 5):
         grid = RadialGrid(q, 0, 0)
         for alpha in (0.3, 0.5, 1.0, 1.7, 2.5):
-            vals = [kernel_constant(alpha, m, grid).d_value * qpow(q, alpha * m)
+            vals = [kernel_constant(alpha, m, grid) * qpow(q, alpha * m)
                     for m in range(41)]
             cap = 1.1 * max(vals[:6])
             assert all(v <= cap for v in vals)
@@ -241,8 +241,8 @@ def test_kernel_decay_uniform_in_m():
 
 def test_specific_decay_example():
     grid = RadialGrid(2, 0, 0)
-    d0 = kernel_constant(0.5, 0, grid).d_value
-    d10 = kernel_constant(0.5, 10, grid).d_value
+    d0 = kernel_constant(0.5, 0, grid)
+    d10 = kernel_constant(0.5, 10, grid)
     assert d10 * qpow(2, 5) <= 1.1 * d0
 
 

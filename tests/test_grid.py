@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from ultrafrac import (
     GrowthKind,
     RadialFunction,
     RadialGrid,
+    RangeExceeded,
     TailSpec,
     ball_power_integral,
     check_growth_conditions,
@@ -106,6 +109,13 @@ def test_minus_constant():
     with pytest.raises(ValueError):
         RadialFunction.from_values(
             2, 0, [1.0], lower_tail=TailSpec.power_law(1.0, 1.0)).minus_constant(1.0)
+
+
+def test_qpow_overflow_is_a_typed_range_error():
+    assert math.isfinite(qpow(2, 1023))
+    assert qpow(2, -1100) == 0.0  # underflow stays silent
+    with pytest.raises(RangeExceeded, match=r"q = 3, x = 720\.0"):
+        qpow(3, 720.0)
 
 
 def test_weighted_tail_sum_geometric_series():

@@ -8,7 +8,6 @@ import pytest
 
 from ultrafrac import (
     ContractionFailure,
-    FrontierTooLow,
     MarginTooSmall,
     MildSolution,
     MissingBeta,
@@ -23,11 +22,10 @@ from ultrafrac import (
     mild_residuals,
     picard_solve,
     qpow,
-    v0_constant,
     verify_strict,
 )
 from ultrafrac.solver import _far_decay_constant, _v0_split_checks
-from helpers import bits, catalog_rhs, continue_by_rebuild, v0_split_checks_by_rescan
+from helpers import bits, catalog_rhs, continue_by_rebuild, v0_at, v0_split_checks_by_rescan
 
 Q, ALPHA, U0 = 2, 0.5, 1.0
 
@@ -141,7 +139,7 @@ def test_understated_lipschitz_constant_breaks_envelope():
 def test_v0_zero_rhs(catalog_solution):
     rhs0 = RhsSpec(lambda r, x: 0.0, M=1e-12, F=1e-12)
     sol = picard_solve(rhs0, 1.0, ALPHA, Q, 0, tol=1e-12, max_iter=5)
-    assert v0_constant(sol, rhs0, ALPHA, 0) == 0.0
+    assert v0_at(sol, rhs0, ALPHA, 0) == 0.0
 
 
 @pytest.mark.parametrize("q,alpha", [(2, 0.5), (3, 1.0), (2, 1.7)])
@@ -150,14 +148,14 @@ def test_v0_constant_rhs_closed_form(q, alpha):
     rhs = RhsSpec(lambda r, x: c, M=c, F=1e-12)
     N = 2
     sol = picard_solve(rhs, 0.5, alpha, q, N, tol=1e-13, max_iter=5)
-    got = v0_constant(sol, rhs, alpha, N)
+    got = v0_at(sol, rhs, alpha, N)
     assert got == pytest.approx(-c * qpow(q, alpha * N), rel=1e-12)
 
 
 def test_v0_matches_brute_force_extended_sum(catalog_solution):
     rhs, sol = catalog_solution
     N = sol.picard_frontier
-    got = v0_constant(sol, rhs, ALPHA, N)
+    got = v0_at(sol, rhs, ALPHA, N)
     # brute force: explicit shell sum with 200 extra shells below the cutoff,
     # the constant tail model extended by hand
     q = sol.q
@@ -171,12 +169,6 @@ def test_v0_matches_brute_force_extended_sum(catalog_solution):
         kern = qpow(q, (ALPHA - 1.0) * (N + 1)) - qpow(q, (ALPHA - 1.0) * j)
         total += front * one * qpow(q, j) * kern * pj
     assert got == pytest.approx(total, rel=1e-11)
-
-
-def test_v0_requires_solved_frontier(catalog_solution):
-    rhs, sol = catalog_solution
-    with pytest.raises(FrontierTooLow):
-        v0_constant(sol, rhs, ALPHA, sol.frontier + 1)
 
 
 # --- continuation ---------------------------------------------------------------
