@@ -40,7 +40,6 @@ from .grid import (
     GrowthKind,
     RadialFunction,
     RadialGrid,
-    TailKind,
     TailSpec,
     ball_power_integral,
     check_growth_conditions,

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .expr import make_callable, parse_expression
 from .fracint import apply_ialpha, kernel_constant
-from .grid import RadialFunction, RadialGrid, TailKind, TailSpec, qpow
+from .grid import RadialFunction, RadialGrid, TailSpec, qpow
 from .solver import (
     MildSolution,
     RhsSpec,
@@ -146,21 +146,22 @@ def _parse_tail(text: str, edge_value: float, which: str) -> TailSpec:
         return TailSpec.constant(edge_value)
     if t == "zero":
         return TailSpec.zero()
-    if t.startswith("constant:"):
-        try:
-            return TailSpec.constant(float(t.split(":", 1)[1]))
-        except ValueError:
-            raise ConfigError(f"bad {which} spec {text!r}") from None
-    if t.startswith("powerlaw:"):
+    if t.startswith("constant:"):  # constant:c is powerlaw:c,0
+        parts = [t.split(":", 1)[1], "0"]
+    elif t.startswith("powerlaw:"):
         parts = t.split(":", 1)[1].split(",")
         if len(parts) != 2:
             raise ConfigError(f"bad {which} spec {text!r}: need powerlaw:c,e")
-        try:
-            return TailSpec.power_law(float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ConfigError(f"bad {which} spec {text!r}") from None
-    raise ConfigError(
-        f"bad {which} spec {text!r}: use extend, zero, constant:c or powerlaw:c,e")
+    else:
+        raise ConfigError(
+            f"bad {which} spec {text!r}: use extend, zero, constant:c or powerlaw:c,e")
+    try:
+        c, e = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ConfigError(f"bad {which} spec {text!r}") from None
+    if not (math.isfinite(c) and math.isfinite(e)):
+        raise ConfigError(f"bad {which} spec {text!r}: c and e must be finite numbers")
+    return TailSpec.power_law(c, e)
 
 
 def _input_function(cfg: RunConfig, command: str) -> RadialFunction:
@@ -172,7 +173,7 @@ def _input_function(cfg: RunConfig, command: str) -> RadialFunction:
     values = [fn(qpow(cfg.q, k)) for k in range(cfg.k_min, cfg.k_max + 1)]
     lower = _parse_tail(cfg.lower_tail, values[0], "lower_tail")
     upper = _parse_tail(cfg.upper_tail, values[-1], "upper_tail")
-    at_zero = lower.c if lower.kind is TailKind.CONSTANT else 0.0
+    at_zero = lower.c if lower.e == 0.0 else 0.0
     grid = RadialGrid(cfg.q, cfg.k_min, cfg.k_max)
     return RadialFunction(grid, tuple(values), at_zero, lower, upper)
 
@@ -183,16 +184,11 @@ def _build_rhs(cfg: RunConfig, command: str) -> RhsSpec:
                                     cfg.F_l, cfg.beta)
 
 
-def _solve_pipeline(cfg: RunConfig, command: str,
-                    extend_to: int) -> tuple[RhsSpec, MildSolution]:
-    rhs = _build_rhs(cfg, command)
-    sol = picard_solve(rhs, cfg.u0, cfg.alpha, cfg.q, cfg.N,
+def _solve_pipeline(cfg: RunConfig, command: str, extend_to: int) -> MildSolution:
+    sol = picard_solve(_build_rhs(cfg, command), cfg.u0, cfg.alpha, cfg.q, cfg.N,
                        k_min=cfg.k_min - _SOLVE_MARGIN,
                        tol=cfg.tol, max_iter=cfg.max_iter)
-    if extend_to > sol.frontier:
-        sol = continue_solution(sol, rhs, cfg.alpha, extend_to,
-                                tol=cfg.tol, max_iter=cfg.max_iter)
-    return rhs, sol
+    return continue_solution(sol, extend_to, tol=cfg.tol, max_iter=cfg.max_iter)
 
 
 def _report_window(cfg: RunConfig) -> tuple[int, int]:
@@ -215,8 +211,8 @@ def _render(cfg: RunConfig, command: str) -> tuple[list[str], list[tuple]]:
     if command == "solve":
         _require(cfg, command, "N", "k_min")
         k_lo, k_hi = _report_window(cfg)
-        rhs, sol = _solve_pipeline(cfg, command, k_hi)
-        mild = mild_residuals(sol, rhs)
+        sol = _solve_pipeline(cfg, command, k_hi)
+        mild = mild_residuals(sol)
         worst, shell = max((mild[k - sol.k_min], k) for k in range(k_lo, k_hi + 1))
         if worst > cfg.tol:
             raise ToleranceNotReached(
@@ -230,8 +226,8 @@ def _render(cfg: RunConfig, command: str) -> tuple[list[str], list[tuple]]:
     if command == "verify":
         _require(cfg, command, "N", "k_min")
         k_lo, k_hi = _report_window(cfg)
-        rhs, sol = _solve_pipeline(cfg, command, k_hi + _SOLVE_MARGIN)
-        report = verify_strict(sol, rhs, cfg.alpha, (k_lo, k_hi))
+        sol = _solve_pipeline(cfg, command, k_hi + _SOLVE_MARGIN)
+        report = verify_strict(sol, (k_lo, k_hi))
         res = dict(report.residuals)
         rows = [(k, qpow(cfg.q, k), sol.value(k), res[k])
                 for k in range(k_lo, k_hi + 1)]

@@ -184,6 +184,8 @@ def kernel_constant(alpha: float, m: int, grid: RadialGrid) -> float:
     if m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m}")
     q = grid.q
+    if qpow(q, -alpha) == 1.0:
+        raise ValueError(f"alpha = {alpha!r} is too small: q^-alpha rounds to 1")
     d0 = _kernel_moment(alpha, m, q, 0)
     n2 = min(7, max(1, int(600.0 / (alpha * (m + 1) * math.log(q)))))
     d2 = _kernel_moment(alpha, m, q, n2) / qpow(q, alpha * (m + 1) * n2)

@@ -3,10 +3,10 @@
 A function on a non-Archimedean local field that depends only on the
 absolute value |t| = q**k is stored as one value per integer shell index k
 inside a finite window [k_min, k_max], together with closed-form tail
-models (zero, constant, or pure power law) for the shells outside the
-window.  Every operator in this package reduces to weighted sums over
-shells, and restricting tails to this family keeps all infinite sums exact
-geometric series: tail contributions are never truncated.
+models c * q**(e*k) for the shells outside it (zero and constant are
+special cases).  Every operator in this package reduces to weighted sums
+over shells, and restricting tails to this family keeps all infinite sums
+exact geometric series: tail contributions are never truncated.
 
 Shell k represents the sphere |t| = q**k, whose measure is (1 - 1/q)*q**k.
 All powers of q go through :func:`qpow` so that equal exponents produce
@@ -27,7 +27,6 @@ __all__ = [
     "qpow",
     "is_log_branch",
     "RadialGrid",
-    "TailKind",
     "TailSpec",
     "RadialFunction",
     "shell_measure",
@@ -105,53 +104,37 @@ class RadialGrid:
         return self.k_max - self.k_min + 1
 
 
-class TailKind(enum.Enum):
-    ZERO = "zero"
-    CONSTANT = "constant"
-    POWER_LAW = "power_law"
-
-
 @dataclass(frozen=True)
 class TailSpec:
-    """Closed-form model for shell values outside the window.
+    """Closed-form model u(q**k) = c * q**(e*k) for shells outside the window.
 
-    POWER_LAW means u(q**k) = c * q**(e*k); CONSTANT is the e = 0 case and
-    ZERO the empty one.  The family is closed under the weighted geometric
-    sums every operator needs, so tail contributions are exact.  A weighted
-    lower-tail sum with weight q**(w*k) converges iff w + e > 0, an upper
-    one iff w + e < 0; :func:`weighted_tail_sum` rejects the divergent
-    combinations.
+    A constant is the e = 0 case and zero the c = 0 one.  The family is
+    closed under the weighted geometric sums every operator needs, so tail
+    contributions are exact.  A weighted lower-tail sum with weight
+    q**(w*k) converges iff w + e > 0, an upper one iff w + e < 0;
+    :func:`weighted_tail_sum` rejects the divergent combinations.
     """
 
-    kind: TailKind
     c: float = 0.0
     e: float = 0.0
 
     @staticmethod
     def zero() -> "TailSpec":
-        return TailSpec(TailKind.ZERO)
+        return TailSpec()
 
     @staticmethod
     def constant(c: float) -> "TailSpec":
-        return TailSpec(TailKind.CONSTANT, float(c), 0.0)
+        return TailSpec(float(c))
 
     @staticmethod
     def power_law(c: float, e: float) -> "TailSpec":
-        return TailSpec(TailKind.POWER_LAW, float(c), float(e))
+        return TailSpec(float(c), float(e))
 
     def is_null(self) -> bool:
         """True when the model contributes nothing to any sum."""
-        return self.kind is TailKind.ZERO or self.c == 0.0
-
-    def exponent(self) -> float:
-        """Growth exponent of the model; 0 for CONSTANT and ZERO."""
-        return self.e if self.kind is TailKind.POWER_LAW else 0.0
+        return self.c == 0.0
 
     def eval(self, q: int, k: int) -> float:
-        if self.kind is TailKind.ZERO:
-            return 0.0
-        if self.kind is TailKind.CONSTANT:
-            return self.c
         return self.c * qpow(q, self.e * k)
 
 
@@ -168,8 +151,8 @@ class RadialFunction:
     grid: RadialGrid
     values: tuple[float, ...]
     value_at_zero: float = 0.0
-    lower_tail: TailSpec = TailSpec(TailKind.ZERO)
-    upper_tail: TailSpec = TailSpec(TailKind.ZERO)
+    lower_tail: TailSpec = TailSpec()
+    upper_tail: TailSpec = TailSpec()
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
@@ -179,8 +162,7 @@ class RadialFunction:
                 f"expected {self.grid.size} shell values for window "
                 f"[{self.grid.k_min}, {self.grid.k_max}], got {len(vals)}")
         lt = self.lower_tail
-        if (lt.kind is TailKind.POWER_LAW and lt.c != 0.0 and lt.e > 0.0
-                and self.value_at_zero != 0.0):
+        if lt.c != 0.0 and lt.e > 0.0 and self.value_at_zero != 0.0:
             # u(q**k) -> 0 as k -> -inf, so continuity at 0 forces u(0) = 0
             raise ValueError("decaying power-law lower tail requires value_at_zero == 0")
 
@@ -215,18 +197,16 @@ class RadialFunction:
     def minus_constant(self, c: float) -> "RadialFunction":
         """Subtract a constant everywhere (shells, tails and the zero value).
 
-        Only zero and constant tails can absorb the shift; subtracting a
+        Only tails with e = 0 or c = 0 can absorb the shift; subtracting a
         constant from a genuine power-law tail leaves the model family.
         """
         if c == 0.0:
             return self
 
         def shift(tail: TailSpec) -> TailSpec:
-            if tail.kind is TailKind.POWER_LAW and tail.c != 0.0:
+            if tail.e != 0.0 and not tail.is_null():
                 raise ValueError("cannot subtract a constant from a power-law tail")
-            base = 0.0 if tail.is_null() else tail.c
-            out = base - c
-            return TailSpec.zero() if out == 0.0 else TailSpec.constant(out)
+            return TailSpec.constant(tail.c - c)
 
         return RadialFunction(self.grid, tuple(v - c for v in self.values),
                               self.value_at_zero - c,
@@ -259,25 +239,19 @@ def _tail_series(tail: TailSpec, q: int, w: float, p: int,
     """Exact sum of q**(w*k) * k**p * tail(k) over k <= anchor or k >= anchor."""
     if tail.is_null():
         return 0.0
-    r = w + tail.exponent()
+    r = w + tail.e
     head = tail.c * qpow(q, r * anchor)
-    if side == "lower":
-        y = qpow(q, -r)
-        if y >= 1.0:
-            raise DivergentTail(
-                f"lower tail sum diverges: ratio q^-(w+e) = {y!r} >= 1 "
-                f"(weight {w:g}, tail exponent {tail.exponent():g})")
-        if p == 0:
-            return head / (1.0 - y)
-        return head * (anchor / (1.0 - y) - y / (1.0 - y) ** 2)
-    x = qpow(q, r)
-    if x >= 1.0:
+    # the ratio q^(s r) of a step away from the anchor: s = -1 below, +1 above
+    s = -1.0 if side == "lower" else 1.0
+    t = qpow(q, s * r)
+    if t >= 1.0:
+        ratio = "q^-(w+e)" if side == "lower" else "q^(w+e)"
         raise DivergentTail(
-            f"upper tail sum diverges: ratio q^(w+e) = {x!r} >= 1 "
-            f"(weight {w:g}, tail exponent {tail.exponent():g})")
+            f"{side} tail sum diverges: ratio {ratio} = {t!r} >= 1 "
+            f"(weight {w:g}, tail exponent {tail.e:g})")
     if p == 0:
-        return head / (1.0 - x)
-    return head * (anchor / (1.0 - x) + x / (1.0 - x) ** 2)
+        return head / (1.0 - t)
+    return head * (anchor / (1.0 - t) + s * t / (1.0 - t) ** 2)
 
 
 def weighted_tail_sum(f: RadialFunction, w: float, side: str, k0: int,
@@ -415,7 +389,7 @@ def _series_entry(name: str, tail: TailSpec, w: float, side: str) -> ConditionEn
     """Entry for convergence of sum q**(w*k)|u(q**k)| over one tail."""
     if tail.is_null():
         return ConditionEntry(name, True, "tail vanishes")
-    e = tail.exponent()
+    e = tail.e
     if side == "lower":
         ok = w + e > 0.0
         need = f"exponent > {-w:g}"
@@ -466,14 +440,14 @@ def check_growth_conditions(f: RadialFunction, alpha: float,
         if lo.is_null():
             entries.append(ConditionEntry("lower decay exponent", True, "tail vanishes"))
         else:
-            d = lo.exponent()
+            d = lo.e
             entries.append(ConditionEntry(
                 "lower decay exponent", d > d_floor,
                 f"requires d > max(0, a-1) = {d_floor:g}; tail has d = {d:g}"))
         if up.is_null():
             entries.append(ConditionEntry("upper growth exponent", True, "tail vanishes"))
         else:
-            h = max(0.0, up.exponent())
+            h = max(0.0, up.e)
             ok = h < alpha and (alpha <= 1.0 + LOG_BRANCH_TOL or h < alpha - 1.0)
             need = f"h < {alpha:g}" if alpha <= 1.0 + LOG_BRANCH_TOL \
                 else f"h < {alpha:g} and h < {alpha - 1.0:g}"

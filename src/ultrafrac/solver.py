@@ -24,7 +24,7 @@ certified effect of any model error (at most 2M) stays below tol/10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .errors import (
@@ -113,8 +113,10 @@ class RhsSpec:
 
 @dataclass(frozen=True)
 class MildSolution:
-    """Per-shell solution values with iteration diagnostics.
+    """Per-shell solution values of D^a u = f(|t|, u), u(0) = u0, with
+    iteration diagnostics.
 
+    The problem (``rhs``, ``alpha``, ``u0``) travels with its solution.
     ``values[i]`` is u(q^k) for k = grid.k_min + i, up to the frontier
     grid.k_max.  ``picard_history`` holds the sup-norm successive
     differences of the Picard stage; continued shells record their scalar
@@ -123,12 +125,11 @@ class MildSolution:
     """
 
     grid: RadialGrid
+    rhs: RhsSpec
     alpha: float
     u0: float
     values: tuple[float, ...]
     picard_history: tuple[float, ...]
-    picard_iterations: int
-    picard_frontier: int
     predicted_rho: float
     envelope_ok: bool
     fp_iterations: dict[int, int] = field(default_factory=dict)
@@ -145,6 +146,14 @@ class MildSolution:
     @property
     def frontier(self) -> int:
         return self.grid.k_max
+
+    @property
+    def picard_iterations(self) -> int:
+        return len(self.picard_history)
+
+    @property
+    def picard_frontier(self) -> int:
+        return self.grid.k_max - len(self.fp_iterations)
 
     def value(self, k: int) -> float:
         if not self.k_min <= k <= self.frontier:
@@ -165,8 +174,11 @@ class ResidualReport:
 
     window: tuple[int, int]
     residuals: tuple[tuple[int, float], ...]
-    max_residual: float
     checks: tuple[ConditionEntry, ...]
+
+    @property
+    def max_residual(self) -> float:
+        return max(r for _, r in self.residuals)
 
     @property
     def ok(self) -> bool:
@@ -174,11 +186,11 @@ class ResidualReport:
 
 
 def _phi_function(q: int, k_min: int, values: Sequence[float],
-                  rhs: RhsSpec, upto: int) -> RadialFunction:
-    """f(., u(.)) on [k_min, upto], with a constant tail below the cutoff."""
-    vals = [rhs.f(qpow(q, k), values[k - k_min]) for k in range(k_min, upto + 1)]
-    return RadialFunction(RadialGrid(q, k_min, upto), tuple(vals), 0.0,
-                          TailSpec.constant(vals[0]), TailSpec.zero())
+                  rhs: RhsSpec) -> RadialFunction:
+    """f(., u(.)) on the shells of ``values`` from k_min on, with a constant
+    tail below the cutoff."""
+    vals = [rhs.f(qpow(q, k), v) for k, v in enumerate(values, k_min)]
+    return RadialFunction.from_values(q, k_min, vals, 0.0, TailSpec.constant(vals[0]))
 
 
 def _truncation_bound(alpha: float, q: int, misfit: float,
@@ -246,7 +258,7 @@ def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
     floor = 64.0 * 2.3e-16 * (abs(u0) + rhs.M * C * qpow(q, alpha * N) + 1.0)
     converged = False
     for it in range(1, max_iter + 1):
-        integ = apply_ialpha(_phi_function(q, depth, cur, rhs, N), alpha, (depth, N))
+        integ = apply_ialpha(_phi_function(q, depth, cur, rhs), alpha, (depth, N))
         nxt = [u0 + w for w in integ.values]
         diff = max(abs(a - b) for a, b in zip(nxt, cur))
         history.append(diff)
@@ -269,19 +281,18 @@ def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
         raise ToleranceNotReached(
             f"still converging after {max_iter} iterations "
             f"(last difference {history[-1]:.3e}, tol {tol:.3e})")
-    return MildSolution(grid, alpha, u0, tuple(cur), tuple(history),
-                        len(history), N, rho, envelope_ok)
+    return MildSolution(grid, rhs, alpha, u0, tuple(cur), tuple(history),
+                        rho, envelope_ok)
 
 
-def mild_residuals(sol: MildSolution, rhs: RhsSpec) -> tuple[float, ...]:
+def mild_residuals(sol: MildSolution) -> tuple[float, ...]:
     """|u - (u0 + I^a f(., u))| per solved shell: one extra Picard map."""
-    phi = _phi_function(sol.q, sol.k_min, sol.values, rhs, sol.frontier)
+    phi = _phi_function(sol.q, sol.k_min, sol.values, sol.rhs)
     integ = apply_ialpha(phi, sol.alpha, (sol.k_min, sol.frontier))
     return tuple(abs(u - (sol.u0 + w)) for u, w in zip(sol.values, integ.values))
 
 
-def continue_solution(sol: MildSolution, rhs: RhsSpec, alpha: float,
-                      k_max: int, tol: float = 1e-12,
+def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
                       max_iter: int = 200) -> MildSolution:
     """Extend the solution shell by shell up to ``k_max``.
 
@@ -297,13 +308,12 @@ def continue_solution(sol: MildSolution, rhs: RhsSpec, alpha: float,
     """
     if k_max <= sol.frontier:
         return sol
-    q = sol.q
-    u0 = sol.u0
+    q, rhs, alpha, u0 = sol.q, sol.rhs, sol.alpha, sol.u0
     values = list(sol.values)
     fp_iters = dict(sol.fp_iterations)
     factors = dict(sol.contraction_factors)
     front = front_coeff(alpha, q)
-    phi = _phi_function(q, sol.k_min, values, rhs, sol.frontier)
+    phi = _phi_function(q, sol.k_min, values, rhs)
     w, p = second_sum_weight(alpha)
     plain = LowerPrefix(phi.lower_tail, q, 1.0, sol.k_min)
     second = LowerPrefix(phi.lower_tail, q, w, sol.k_min, p)
@@ -343,14 +353,12 @@ def continue_solution(sol: MildSolution, rhs: RhsSpec, alpha: float,
             phi_next = rhs.f(r_next, x)
             plain.push(phi_next)
             second.push(phi_next)
-    return MildSolution(RadialGrid(q, sol.k_min, k_max), alpha, u0,
-                        tuple(values), sol.picard_history,
-                        sol.picard_iterations, sol.picard_frontier,
-                        sol.predicted_rho, sol.envelope_ok, fp_iters, factors)
+    return replace(sol, grid=RadialGrid(q, sol.k_min, k_max), values=tuple(values),
+                   fp_iterations=fp_iters, contraction_factors=factors)
 
 
-def verify_strict(sol: MildSolution, rhs: RhsSpec, alpha: float,
-                  window: tuple[int, int], force: bool = False) -> ResidualReport:
+def verify_strict(sol: MildSolution, window: tuple[int, int],
+                  force: bool = False) -> ResidualReport:
     """Check that the mild solution solves the differential equation.
 
     Computes |(D^a u)(q^n) - f(q^n, u(q^n))| on ``window``.  The derivative
@@ -367,6 +375,7 @@ def verify_strict(sol: MildSolution, rhs: RhsSpec, alpha: float,
     n_lo, n_hi = window
     if n_lo > n_hi:
         raise ValueError(f"empty verification window [{n_lo}, {n_hi}]")
+    rhs, alpha = sol.rhs, sol.alpha
     checks: list[ConditionEntry] = []
     if rhs.beta is None or rhs.beta <= alpha:
         msg = ("no decay exponent declared" if rhs.beta is None else
@@ -393,8 +402,7 @@ def verify_strict(sol: MildSolution, rhs: RhsSpec, alpha: float,
     note = f"internally extended to shell {horizon}"
     if work.frontier < horizon:
         try:
-            work = continue_solution(sol, rhs, alpha, horizon,
-                                     tol=1e-13, max_iter=400)
+            work = continue_solution(sol, horizon, tol=1e-13, max_iter=400)
         except (ContractionFailure, DivergentTail) as exc:
             horizon = work.frontier
             note = f"extension unavailable ({exc}); evaluating at frontier {horizon}"
@@ -406,23 +414,20 @@ def verify_strict(sol: MildSolution, rhs: RhsSpec, alpha: float,
     # exponent that does not decay faster than q^(a l) becomes a constant
     if abs(g_vals[-1]) > 1e-13 * scale:
         g = fit_power_tails(g, fit_lower=False)
-        if g.upper_tail.exponent() >= alpha - 1e-9:
+        if g.upper_tail.e >= alpha - 1e-9:
             g = g.with_tails(upper=TailSpec.constant(g_vals[-1]))
     deriv = apply_dalpha(g, alpha, (n_lo, n_hi))
     residuals = tuple(
         (n, abs(w - rhs.f(qpow(q, n), work.value(n))))
         for n, w in zip(range(n_lo, n_hi + 1), deriv.values))
-    max_residual = max(r for _, r in residuals)
-
-    checks.extend(_v0_split_checks(work, rhs, alpha, n_hi))
-    return ResidualReport((n_lo, n_hi), residuals, max_residual, tuple(checks))
+    checks.extend(_v0_split_checks(work, n_hi))
+    return ResidualReport((n_lo, n_hi), residuals, tuple(checks))
 
 
-def _v0_split_checks(work: MildSolution, rhs: RhsSpec, alpha: float,
-                     n_hi: int) -> list[ConditionEntry]:
+def _v0_split_checks(work: MildSolution, n_hi: int) -> list[ConditionEntry]:
     """Certified bounds on the two pieces of v0 (integration over |y| <= 1
     and over |y| >= q), for shells l >= 1 up to the report window."""
-    q = work.q
+    q, rhs, alpha = work.q, work.rhs, work.alpha
     if is_log_branch(alpha):
         return [ConditionEntry("v0 split bounds", True,
                                "log branch: splits are stated for the generic "
@@ -433,7 +438,7 @@ def _v0_split_checks(work: MildSolution, rhs: RhsSpec, alpha: float,
                                "no shells l >= 1 inside the solved window")]
     one = 1.0 - 1.0 / q
     front = front_coeff(alpha, q)
-    phi = _phi_function(q, work.k_min, work.values, rhs, work.frontier)
+    phi = _phi_function(q, work.k_min, work.values, rhs)
     s_plain0 = lower_sums(phi, 1.0, 0, 0)[0]
     s_alpha0 = lower_sums(phi, alpha, 0, 0)[0]
     c_near = abs(front) * rhs.M * max(1.0, one / (1.0 - qpow(q, -alpha)))

@@ -164,8 +164,7 @@ def fit_power_tails(f: RadialFunction, fit_lower: bool = True) -> RadialFunction
     lower = f.lower_tail
     if fit_lower:
         lower = fit(f.values[0], f.values[1], f.grid.k_min, toward_upper=False)
-        if (lower.kind.value == "power_law" and lower.e > 0.0
-                and f.value_at_zero != 0.0):
+        if lower.e > 0.0 and f.value_at_zero != 0.0:
             lower = TailSpec.constant(f.values[0])
     upper = fit(f.values[-1], f.values[-2], f.grid.k_max, toward_upper=True)
     return RadialFunction(f.grid, f.values, f.value_at_zero, lower, upper)

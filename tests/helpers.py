@@ -114,7 +114,7 @@ def v0_at(sol, rhs, alpha: float, N: int) -> float:
     at one shell: ``continue_solution`` keeps the same two sums running.
     """
     q = sol.q
-    phi = _phi_function(q, sol.k_min, sol.values, rhs, N)
+    phi = _phi_function(q, sol.k_min, sol.values[: N - sol.k_min + 1], rhs)
     w, p = second_sum_weight(alpha)
     return offdiag_integral(alpha, q, front_coeff(alpha, q), N + 1,
                             lower_sums(phi, 1.0, N, N)[0], lower_sums(phi, w, N, N, p)[0])

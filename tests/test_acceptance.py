@@ -219,13 +219,13 @@ def test_criterion_7_continuation():
     rhs = catalog_rhs(q, alpha)
     N = _catalog_frontier(rhs, q, alpha)
     sol = picard_solve(rhs, u0, alpha, q, N, tol=1e-12, max_iter=60)
-    ext = continue_solution(sol, rhs, alpha, 8, tol=1e-12, max_iter=60)
+    ext = continue_solution(sol, 8, tol=1e-12, max_iter=60)
     factors = max(ext.contraction_factors.values())
-    mild = max(mild_residuals(ext, rhs))
+    mild = max(mild_residuals(ext))
     c = 0.07
     rhs_c = RhsSpec(lambda r, x: c, M=c, F=1e-12)
     sol_c = picard_solve(rhs_c, u0, alpha, q, N, tol=1e-13, max_iter=5)
-    ext_c = continue_solution(sol_c, rhs_c, alpha, 8, tol=1e-14, max_iter=30)
+    ext_c = continue_solution(sol_c, 8, tol=1e-14, max_iter=30)
     const_gap = max(abs(v - u0) for v in ext_c.values)
     ok = (ext.frontier == 8 and factors <= 0.5 and mild <= 1e-9
           and const_gap <= 1e-12)
@@ -240,14 +240,14 @@ def test_criterion_8_strict_solution():
     rhs = catalog_rhs(q, alpha)          # beta = alpha + 1
     N = _catalog_frontier(rhs, q, alpha)
     sol = picard_solve(rhs, u0, alpha, q, N, k_min=-16, tol=1e-12, max_iter=60)
-    sol = continue_solution(sol, rhs, alpha, 14, tol=1e-13, max_iter=60)
-    report = verify_strict(sol, rhs, alpha, (-6, 4))
+    sol = continue_solution(sol, 14, tol=1e-13, max_iter=60)
+    report = verify_strict(sol, (-6, 4))
     residual_ok = report.max_residual <= 1e-8 * (1.0 + rhs.M)
     c = 0.07
     rhs_c = RhsSpec(lambda r, x: c, M=c, F=1e-12)
     sol_c = picard_solve(rhs_c, u0, alpha, q, N, k_min=-16, tol=1e-13, max_iter=5)
-    sol_c = continue_solution(sol_c, rhs_c, alpha, 14, tol=1e-14, max_iter=30)
-    counter = verify_strict(sol_c, rhs_c, alpha, (-6, 4), force=True)
+    sol_c = continue_solution(sol_c, 14, tol=1e-14, max_iter=30)
+    counter = verify_strict(sol_c, (-6, 4), force=True)
     counter_ok = all(abs(r - c) <= 1e-10 for _, r in counter.residuals)
     ok = residual_ok and report.ok and counter_ok
     _criterion(8, "strict solution", ok, time.time() - t0, 10.0,

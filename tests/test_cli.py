@@ -233,6 +233,21 @@ def test_out_of_range_inputs_end_in_typed_errors(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["apply-d", "apply-i"])
+@pytest.mark.parametrize("spec", ["constant:nan", "constant:inf",
+                                  "powerlaw:-inf,0.5", "powerlaw:1,inf"])
+@pytest.mark.parametrize("side", ["lower_tail", "upper_tail"])
+def test_non_finite_tail_specs_are_config_errors(tmp_path, capsys, command, spec, side):
+    cfg = write_cfg(tmp_path, "q = 2\nalpha = 0.5\nrhs = min(1, r)\n"
+                              f"k_min = -3\nk_max = 3\n{side} = {spec}\n")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[ConfigError]: bad {side} spec ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_deep_cutoff_inside_float_range_still_solves(tmp_path, capsys):
     # tol = 1e-300 puts the certified cutoff at shell -1997, where the kernel
     # factor q^((a-1) k) is still a finite float

@@ -13,6 +13,7 @@ from ultrafrac import (
     DomainViolation,
     RadialFunction,
     RadialGrid,
+    RhsSpec,
     TailSpec,
     apply_dalpha,
     apply_ialpha,
@@ -22,6 +23,7 @@ from ultrafrac import (
     ialpha_oracle,
     is_log_branch,
     kernel_constant,
+    picard_solve,
     qpow,
     shell_measure,
     weighted_tail_sum,
@@ -220,6 +222,18 @@ def test_kernel_constant_log_branch_brute_force():
     d = kernel_constant(1.0, 0, RadialGrid(3, 0, 0))
     brute = _kernel_moment_brute(1.0, 0, 3, 0, depth=300)
     assert d == pytest.approx(brute, rel=1e-12)
+
+
+def test_kernel_constant_rejects_alpha_with_q_power_one():
+    # q^-alpha rounds to 1.0, where the kernel moments would divide by zero
+    grid = RadialGrid(2, 0, 0)
+    with pytest.raises(ValueError, match="too small"):
+        kernel_constant(1e-17, 0, grid)
+    with pytest.raises(ValueError, match="too small"):
+        bound_constant(1e-17, grid)
+    rhs = RhsSpec(lambda r, x: 0.0, M=0.1, F=0.1)
+    with pytest.raises(ValueError, match="too small"):
+        picard_solve(rhs, 1.0, 1e-17, 2, 0)
 
 
 def test_kernel_homogeneity_ratio():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -246,6 +247,62 @@ def test_lower_sums_divergent_tail_in_every_region(k_lo, k_hi):
                                    lower_tail=TailSpec.constant(1.0), value_at_zero=1.0)
     with pytest.raises(DivergentTail):
         lower_sums(f, -0.2, k_lo, k_hi)
+
+
+# every tail model the family allows, power_law(c, 0.0) included
+_PINNED_TAILS = (TailSpec.zero(), TailSpec.constant(0.75), TailSpec.constant(-1.25),
+                 TailSpec.power_law(0.5, 0.0), TailSpec.power_law(-0.8, 0.6),
+                 TailSpec.power_law(1.3, -0.4), TailSpec.power_law(0.0, 0.3))
+
+
+def test_tail_layer_keeps_its_bits():
+    # sha256 of weighted_tail_sum (both sides), lower_sums and eval outside
+    # the window over every pair of tail models, or of the error text where
+    # a tail sum diverges: the tail model's form must not move a single bit
+    digest = hashlib.sha256()
+    count = 0
+
+    def record(compute):
+        nonlocal count
+        try:
+            out = compute()
+        except DivergentTail as exc:
+            digest.update(b"E" + str(exc).encode())
+        else:
+            out = out if isinstance(out, list) else [out]
+            digest.update(b"V" + bits(out))
+            count += len(out)
+
+    values = (0.5, -1.0, 0.25, 2.0, -0.75, 1.5, 0.125, -0.5)
+    for q in (2, 3):
+        for lower in _PINNED_TAILS:
+            for upper in _PINNED_TAILS:
+                f = RadialFunction(RadialGrid(q, -3, 4), values, 0.0, lower, upper)
+                record(lambda: [f.eval(k) for k in range(-9, 11) if not -3 <= k <= 4])
+                for w in (1.0, 0.5, -0.7):
+                    for p in (0, 1):
+                        for side in ("lower", "upper"):
+                            for k0 in (-7, -4, -3, 0, 4, 5, 9):
+                                record(lambda: weighted_tail_sum(f, w, side, k0, p))
+                        record(lambda: lower_sums(f, w, -7, 9, p))
+    assert count == 14084
+    assert digest.hexdigest() == "96bf1057507b5aa198fbdde005d673166e2314b163a2dd9327ec3dbe031b2b27"
+
+
+def test_tail_spec_family():
+    # one model c q^(e k): zero and constant are its special cases
+    assert TailSpec.power_law(1.5, 0.0) == TailSpec.constant(1.5)
+    assert TailSpec.constant(0.0) == TailSpec.zero()
+    assert TailSpec.zero().is_null() and TailSpec.power_law(0.0, 2.0).is_null()
+    assert not TailSpec.power_law(1.5, 0.0).is_null()
+    f = RadialFunction.from_values(2, 0, [2.0, 3.0], value_at_zero=2.0,
+                                   lower_tail=TailSpec.power_law(2.0, 0.0),
+                                   upper_tail=TailSpec.power_law(3.0, 0.0))
+    g = f.minus_constant(2.0)
+    assert g.lower_tail == TailSpec.zero() and g.upper_tail == TailSpec.constant(1.0)
+    assert g.values == (0.0, 1.0) and g.value_at_zero == 0.0
+    with pytest.raises(ValueError):
+        f.with_tails(upper=TailSpec.power_law(3.0, -0.5)).minus_constant(2.0)
 
 
 def test_growth_conditions_compact_support_passes_everything():

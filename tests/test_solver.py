@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -79,7 +80,7 @@ def test_catalog_picard_converges_with_predicted_rate(catalog_solution):
 
 def test_catalog_fixed_point_property(catalog_solution):
     rhs, sol = catalog_solution
-    assert max(mild_residuals(sol, rhs)) <= 2e-12
+    assert max(mild_residuals(sol)) <= 2e-12
 
 
 def test_uniqueness_under_restart(catalog_solution):
@@ -176,7 +177,7 @@ def test_v0_matches_brute_force_extended_sum(catalog_solution):
 def test_continuation_zero_rhs():
     rhs = RhsSpec(lambda r, x: 0.0, M=1e-12, F=1e-12)
     sol = picard_solve(rhs, 1.0, ALPHA, Q, 0, tol=1e-12, max_iter=5)
-    ext = continue_solution(sol, rhs, ALPHA, 8, tol=1e-13, max_iter=20)
+    ext = continue_solution(sol, 8, tol=1e-13, max_iter=20)
     assert ext.frontier == 8
     assert all(v == 1.0 for v in ext.values)
 
@@ -186,17 +187,17 @@ def test_continuation_constant_rhs_cancels_exactly():
     c = 0.07
     rhs = RhsSpec(lambda r, x: c, M=c, F=1e-12)
     sol = picard_solve(rhs, U0, ALPHA, Q, 0, tol=1e-13, max_iter=5)
-    ext = continue_solution(sol, rhs, ALPHA, 8, tol=1e-14, max_iter=30)
+    ext = continue_solution(sol, 8, tol=1e-14, max_iter=30)
     assert max(abs(v - U0) for v in ext.values) <= 1e-12
 
 
 def test_continuation_catalog_contracts_and_solves_mild_equation(catalog_solution):
     rhs, sol = catalog_solution
-    ext = continue_solution(sol, rhs, ALPHA, 8, tol=1e-12, max_iter=60)
+    ext = continue_solution(sol, 8, tol=1e-12, max_iter=60)
     assert ext.frontier == 8
     assert ext.contraction_factors
     assert max(ext.contraction_factors.values()) <= 0.5
-    assert max(mild_residuals(ext, rhs)) <= 1e-9
+    assert max(mild_residuals(ext)) <= 1e-9
     # earlier shells untouched by the extension
     assert ext.values[: len(sol.values)] == sol.values
 
@@ -208,20 +209,43 @@ def test_continuation_matches_per_step_rebuild(q, alpha, N):
     rhs = catalog_rhs(q, alpha)
     sol = picard_solve(rhs, U0, alpha, q, N, k_min=-6, tol=1e-10, max_iter=80)
     want, want_iters = continue_by_rebuild(sol, rhs, alpha, N + 30, tol=1e-12)
-    ext = continue_solution(sol, rhs, alpha, N + 30, tol=1e-12)
+    ext = continue_solution(sol, N + 30, tol=1e-12)
     assert bits(ext.values) == bits(want)
     assert ext.fp_iterations == want_iters
     # resuming from a partly continued solution restarts the sums from its values
-    staged = continue_solution(continue_solution(sol, rhs, alpha, N + 12, tol=1e-12),
-                               rhs, alpha, N + 30, tol=1e-12)
+    staged = continue_solution(continue_solution(sol, N + 12, tol=1e-12),
+                               N + 30, tol=1e-12)
     assert bits(staged.values) == bits(want)
+
+
+def test_continuation_and_verification_read_the_problem_from_the_solution(catalog_solution):
+    rhs, sol = catalog_solution
+    ext = continue_solution(sol, 14, tol=1e-13, max_iter=60)
+    assert ext.rhs is rhs and (ext.alpha, ext.u0) == (ALPHA, U0)
+    # the Picard diagnostics survive continuation
+    assert ext.picard_iterations == sol.picard_iterations == len(sol.picard_history)
+    assert ext.picard_frontier == sol.picard_frontier == sol.frontier
+    assert sorted(ext.fp_iterations) == list(range(sol.frontier + 1, 15))
+    # the same values carrying another problem continue as that problem:
+    # with f = 0 each new shell is u0 and its factor is q^(a l) F
+    zero = RhsSpec(lambda r, x: 0.0, M=0.1, F=0.1)
+    other = continue_solution(replace(sol, rhs=zero, alpha=1.7, u0=0.25), 14)
+    assert other.values[sol.grid.size:] == (0.25,) * (14 - sol.frontier)
+    assert other.contraction_factors == {
+        l + 1: qpow(Q, 1.7 * l) * 0.1 for l in range(sol.frontier, 14)}
+    assert verify_strict(ext, (-4, 2)).ok
+    with pytest.raises(MissingBeta, match="alpha = 2.5"):
+        verify_strict(replace(ext, alpha=2.5), (-4, 2))
+    with pytest.raises(MissingBeta, match="no decay exponent"):
+        verify_strict(replace(ext, rhs=zero), (-4, 2))
+    assert verify_strict(replace(ext, u0=U0 + 0.25), (-4, 2)).max_residual > 1e-4
 
 
 def test_continuation_failure_reports_shell():
     rhs = _steep_rhs(F_l=lambda l: 4.5)
     sol = picard_solve(rhs, 0.3, ALPHA, Q, -6, tol=1e-11, max_iter=60)
     with pytest.raises(ContractionFailure) as err:
-        continue_solution(sol, rhs, ALPHA, 6, tol=1e-11, max_iter=80)
+        continue_solution(sol, 6, tol=1e-11, max_iter=80)
     assert err.value.shell is not None
     assert err.value.factor >= 1.0
 
@@ -231,16 +255,16 @@ def test_continuation_failure_reports_shell():
 def test_strict_residual_zero_rhs():
     rhs = RhsSpec(lambda r, x: 0.0, M=1e-12, F=1e-12, beta=2.0)
     sol = picard_solve(rhs, 1.0, ALPHA, Q, 0, tol=1e-13, max_iter=5)
-    ext = continue_solution(sol, rhs, ALPHA, 12, tol=1e-13, max_iter=20)
-    report = verify_strict(ext, rhs, ALPHA, (-4, 2))
+    ext = continue_solution(sol, 12, tol=1e-13, max_iter=20)
+    report = verify_strict(ext, (-4, 2))
     assert report.max_residual == 0.0
     assert report.ok
 
 
 def test_strict_residual_catalog(catalog_solution):
     rhs, sol = catalog_solution
-    ext = continue_solution(sol, rhs, ALPHA, 14, tol=1e-13, max_iter=60)
-    report = verify_strict(ext, rhs, ALPHA, (-6, 4))
+    ext = continue_solution(sol, 14, tol=1e-13, max_iter=60)
+    report = verify_strict(ext, (-6, 4))
     assert report.max_residual <= 1e-8 * (1.0 + rhs.M)
     assert report.ok
     assert all(r >= 0.0 for _, r in report.residuals)
@@ -253,10 +277,10 @@ def test_strict_counterexample_constant_rhs():
     c = 0.07
     rhs = RhsSpec(lambda r, x: c, M=c, F=1e-12)
     sol = picard_solve(rhs, U0, ALPHA, Q, 0, tol=1e-13, max_iter=5)
-    ext = continue_solution(sol, rhs, ALPHA, 12, tol=1e-14, max_iter=30)
+    ext = continue_solution(sol, 12, tol=1e-14, max_iter=30)
     with pytest.raises(MissingBeta):
-        verify_strict(ext, rhs, ALPHA, (-2, 2))
-    report = verify_strict(ext, rhs, ALPHA, (-2, 2), force=True)
+        verify_strict(ext, (-2, 2))
+    report = verify_strict(ext, (-2, 2), force=True)
     assert not report.ok
     assert report.max_residual == pytest.approx(c, abs=1e-10)
     assert min(r for _, r in report.residuals) == pytest.approx(c, abs=1e-10)
@@ -265,15 +289,15 @@ def test_strict_counterexample_constant_rhs():
 def test_strict_requires_margins(catalog_solution):
     rhs, sol = catalog_solution
     with pytest.raises(MarginTooSmall):
-        verify_strict(sol, rhs, ALPHA, (sol.frontier - 2, sol.frontier))
+        verify_strict(sol, (sol.frontier - 2, sol.frontier))
 
 
 def test_strict_rejects_beta_not_exceeding_alpha():
     rhs = RhsSpec(lambda r, x: 0.0, M=1e-12, F=1e-12, beta=0.4)
     sol = picard_solve(rhs, 1.0, ALPHA, Q, 0, tol=1e-13, max_iter=5)
-    ext = continue_solution(sol, rhs, ALPHA, 12, tol=1e-13, max_iter=20)
+    ext = continue_solution(sol, 12, tol=1e-13, max_iter=20)
     with pytest.raises(MissingBeta):
-        verify_strict(ext, rhs, ALPHA, (-2, 2))
+        verify_strict(ext, (-2, 2))
 
 
 def test_full_pipeline_above_order_one():
@@ -286,11 +310,11 @@ def test_full_pipeline_above_order_one():
                   beta=2.7)
     N = pick_frontier(rhs, q=q, alpha=alpha)
     sol = picard_solve(rhs, u0, alpha, q, N, k_min=-14, tol=1e-12, max_iter=60)
-    ext = continue_solution(sol, rhs, alpha, 14, tol=1e-13, max_iter=80)
+    ext = continue_solution(sol, 14, tol=1e-13, max_iter=80)
     assert abs(ext.value(14)) > 10.0        # growth is real
     assert max(ext.contraction_factors.values()) < 1.0
-    assert max(mild_residuals(ext, rhs)) <= 1e-9
-    report = verify_strict(ext, rhs, alpha, (-4, 4))
+    assert max(mild_residuals(ext)) <= 1e-9
+    report = verify_strict(ext, (-4, 4))
     assert report.ok
     assert report.max_residual <= 1e-8 * (1.0 + rhs.M)
 
@@ -307,8 +331,8 @@ def test_v0_split_checks_match_rescan(q, alpha, beta_gap):
     sol = picard_solve(rhs, U0, alpha, q, 0, k_min=window[0] - 10, tol=1e-12, max_iter=60)
     # solved past the verify horizon (margin <= 60 shells here), so that
     # verify_strict checks this very solution
-    ext = continue_solution(sol, rhs, alpha, window[1] + 64, tol=1e-13, max_iter=400)
-    report = verify_strict(ext, rhs, alpha, window, force=True)
+    ext = continue_solution(sol, window[1] + 64, tol=1e-13, max_iter=400)
+    report = verify_strict(ext, window, force=True)
     horizon = int(report.checks[1].detail.rsplit(" ", 1)[1])
     assert horizon <= ext.frontier
     want = v0_split_checks_by_rescan(ext, rhs, alpha, window[1])
@@ -347,8 +371,8 @@ def test_v0_far_split_entry_fails_when_its_constant_overflows():
     q, alpha = 5, 1.7
     rhs = RhsSpec(lambda r, x: 0.1, M=0.1, F=0.1, beta=2.7)
     grid = RadialGrid(q, -3, 200)
-    work = MildSolution(grid, alpha, U0, (U0,) * grid.size, (0.0,), 1, 0, 0.0, True)
-    near, far = _v0_split_checks(work, rhs, alpha, 3)
+    work = MildSolution(grid, rhs, alpha, U0, (U0,) * grid.size, (0.0,), 0.0, True)
+    near, far = _v0_split_checks(work, 3)
     assert near.passed
     assert not far.passed
     assert "not a finite float" in far.detail and "shell 200" in far.detail
@@ -358,8 +382,8 @@ def test_strict_log_branch_runs():
     rhs = catalog_rhs(3, 1.0)
     N = pick_frontier(rhs, q=3, alpha=1.0)
     sol = picard_solve(rhs, 0.5, 1.0, 3, N, tol=1e-12, max_iter=60)
-    ext = continue_solution(sol, rhs, 1.0, 8, tol=1e-12, max_iter=60)
-    report = verify_strict(ext, rhs, 1.0, (-4, -2))
+    ext = continue_solution(sol, 8, tol=1e-12, max_iter=60)
+    report = verify_strict(ext, (-4, -2))
     assert report.max_residual <= 1e-8 * (1.0 + rhs.M)
 
 
