@@ -31,6 +31,7 @@ from .expr import make_callable, parse_expression
 from .fracint import apply_ialpha, kernel_constant
 from .grid import RadialFunction, RadialGrid, TailSpec, qpow
 from .solver import (
+    _VERIFY_MARGIN,
     MildSolution,
     RhsSpec,
     continue_solution,
@@ -43,9 +44,6 @@ from .vladimirov import apply_dalpha
 __all__ = ["RunConfig", "load_config", "run", "main", "main_entry", "exit_code_for"]
 
 _COMMANDS = ("apply-d", "apply-i", "solve", "verify", "constants")
-
-#: extra shells solved on each side of the reported window
-_SOLVE_MARGIN = 10
 
 _INT_KEYS = ("q", "k_min", "k_max", "N", "max_iter", "m_max")
 _FLOAT_KEYS = ("alpha", "u0", "tol", "M", "F", "beta")
@@ -156,12 +154,9 @@ def _parse_tail(text: str, edge_value: float, which: str) -> TailSpec:
         raise ConfigError(
             f"bad {which} spec {text!r}: use extend, zero, constant:c or powerlaw:c,e")
     try:
-        c, e = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ConfigError(f"bad {which} spec {text!r}") from None
-    if not (math.isfinite(c) and math.isfinite(e)):
-        raise ConfigError(f"bad {which} spec {text!r}: c and e must be finite numbers")
-    return TailSpec.power_law(c, e)
+        return TailSpec.power_law(float(parts[0]), float(parts[1]))
+    except ValueError as exc:
+        raise ConfigError(f"bad {which} spec {text!r}: {exc}") from None
 
 
 def _input_function(cfg: RunConfig, command: str) -> RadialFunction:
@@ -186,7 +181,7 @@ def _build_rhs(cfg: RunConfig, command: str) -> RhsSpec:
 
 def _solve_pipeline(cfg: RunConfig, command: str, extend_to: int) -> MildSolution:
     sol = picard_solve(_build_rhs(cfg, command), cfg.u0, cfg.alpha, cfg.q, cfg.N,
-                       k_min=cfg.k_min - _SOLVE_MARGIN,
+                       k_min=cfg.k_min - _VERIFY_MARGIN,
                        tol=cfg.tol, max_iter=cfg.max_iter)
     return continue_solution(sol, extend_to, tol=cfg.tol, max_iter=cfg.max_iter)
 
@@ -226,7 +221,7 @@ def _render(cfg: RunConfig, command: str) -> tuple[list[str], list[tuple]]:
     if command == "verify":
         _require(cfg, command, "N", "k_min")
         k_lo, k_hi = _report_window(cfg)
-        sol = _solve_pipeline(cfg, command, k_hi + _SOLVE_MARGIN)
+        sol = _solve_pipeline(cfg, command, k_hi + _VERIFY_MARGIN)
         report = verify_strict(sol, (k_lo, k_hi))
         res = dict(report.residuals)
         rows = [(k, qpow(cfg.q, k), sol.value(k), res[k])

@@ -216,7 +216,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            offset = _byte_offset(self.text, tok.pos)
+            try:  # str.isdigit also takes digits such as '²' that float() rejects
+                value = float(tok.text)
+            except ValueError:
+                raise ExprSyntaxError("malformed number literal", offset, ("digit",)) from None
+            if math.isinf(value):
+                raise ExprSyntaxError("number literal out of float range", offset)
+            return Num(value)
         if tok.kind == "(":
             self.advance()
             node = self.expr()

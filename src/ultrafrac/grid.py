@@ -118,6 +118,10 @@ class TailSpec:
     c: float = 0.0
     e: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.c) and math.isfinite(self.e)):
+            raise ValueError(f"tail c and e must be finite, got c = {self.c!r}, e = {self.e!r}")
+
     @staticmethod
     def zero() -> "TailSpec":
         return TailSpec()

@@ -24,6 +24,7 @@ certified effect of any model error (at most 2M) stays below tol/10.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -33,7 +34,6 @@ from .errors import (
     MarginTooSmall,
     MissingBeta,
     NoContraction,
-    RangeExceeded,
     ToleranceNotReached,
 )
 from .expr import make_callable, parse_expression
@@ -68,6 +68,7 @@ __all__ = [
     "check_rhs_conditions",
 ]
 
+#: solved shells that verify_strict needs on each side of its window
 _VERIFY_MARGIN = 10
 
 
@@ -443,16 +444,12 @@ def _v0_split_checks(work: MildSolution, n_hi: int) -> list[ConditionEntry]:
     s_alpha0 = lower_sums(phi, alpha, 0, 0)[0]
     c_near = abs(front) * rhs.M * max(1.0, one / (1.0 - qpow(q, -alpha)))
     beta = rhs.beta
-    c_far = 0.0
-    if beta is not None:
-        c_far, far_shell = _far_decay_constant(phi, q, beta, work.frontier)
     slack = 1.0 + 1e-9
     worst_near = 0.0
     worst_far = 0.0
     near_ok = True
-    far_ok = True
     # running sums over shells 1..l, added in ascending order from 0
-    t_plain = t_alpha = b_plain = b_alpha = 0.0
+    t_plain = t_alpha = 0.0
     for l in range(1, l_top + 1):
         kern_hi = qpow(q, (alpha - 1.0) * (l + 1))
         v01 = offdiag_integral(alpha, q, front, l + 1, s_plain0, s_alpha0)
@@ -465,59 +462,44 @@ def _v0_split_checks(work: MildSolution, n_hi: int) -> list[ConditionEntry]:
         phi_l = phi.eval(l)
         t_plain += qpow(q, l) * phi_l
         t_alpha += qpow(q, alpha * l) * phi_l
-        b_plain += qpow(q, (1.0 - beta) * l)
-        b_alpha += qpow(q, (alpha - beta) * l)
         v02 = offdiag_integral(alpha, q, front, l + 1, t_plain, t_alpha)
-        bound2 = abs(front) * one * c_far * (kern_hi * b_plain + b_alpha)
-        ref = 1.0 + qpow(q, (alpha - beta) * l)
-        worst_far = max(worst_far, abs(v02) / ref)
-        if abs(v02) > bound2 * slack + 1e-300:
-            far_ok = False
+        worst_far = max(worst_far, abs(v02) / (1.0 + qpow(q, (alpha - beta) * l)))
     entries = [ConditionEntry(
         "v0 near-origin split bound", near_ok,
         f"|v01| <= C (q^((l+1)(a-1)) + 1) with C = {c_near:.6g}; "
         f"worst ratio {worst_near:.6g}")]
-    if beta is not None and math.isinf(c_far):
+    if beta is None:
+        return entries
+    # with C = max |phi_l| q^(b l) measured, |v02| <= |front| (1-1/q) C (q^((l+1)(a-1))
+    # sum q^((1-b)j) + sum q^((a-b)j)) holds term by term (float error about l eps
+    # <= 1e-12 against a 1e-9 slack): only a C beyond the float range fails it
+    far_shell = _far_overflow_shell(phi, q, beta, work.frontier)
+    if far_shell is not None:
         entries.append(ConditionEntry(
             "v0 far split bound", False,
             f"the decay constant max |phi_l| q^(b l) over shells 1..{work.frontier} "
             f"is not a finite float (largest term at shell {far_shell})"))
-    elif beta is not None:
+    else:
         entries.append(ConditionEntry(
-            "v0 far split bound", far_ok,
+            "v0 far split bound", True,
             f"|v02| within the certified decay bound; "
             f"max |v02| / (1 + q^((a-b)l)) = {worst_far:.6g}"))
     return entries
 
 
-def _far_decay_constant(phi: RadialFunction, q: int, beta: float,
-                        frontier: int) -> tuple[float, int]:
-    """max over shells l = 1..frontier of |phi_l| q^(beta l), and a shell
-    where it is taken; inf when the maximum is not a finite float.
+def _far_overflow_shell(phi: RadialFunction, q: int, beta: float,
+                        frontier: int) -> int | None:
+    """The shell of the largest term of max |phi_l| q^(beta l) over shells
+    l = 1..frontier when that maximum is not a finite float, else None.
 
-    The products are formed while q^(beta l) is a finite float.  Past that
-    shell the terms are compared by their logarithms, and a zero phi_l
-    contributes 0.
+    The terms are compared by their logarithms; a zero phi_l contributes
+    nothing.
     """
-    products = []
-    for j in range(1, frontier + 1):
-        try:
-            products.append(abs(phi.eval(j)) * qpow(q, beta * j))
-        except RangeExceeded:
-            break
-    c_far = max(products, default=0.0)
     ln_q = math.log(q)
-    logs = [(math.log(a) + beta * j * ln_q, j)
-            for j in range(len(products) + 1, frontier + 1)
-            if (a := abs(phi.eval(j))) > 0.0]
-    if logs:
-        log_big, j_big = max(logs)
-        if not c_far > 0.0 or log_big > math.log(c_far):
-            try:
-                return math.exp(log_big), j_big
-            except OverflowError:
-                return math.inf, j_big
-    return c_far, products.index(c_far) + 1 if products else 0
+    log_big, shell = max(((math.log(a) + beta * j * ln_q, j)
+                          for j in range(1, frontier + 1)
+                          if (a := abs(phi.eval(j))) > 0.0), default=(0.0, None))
+    return shell if log_big > math.log(sys.float_info.max) else None
 
 
 def check_rhs_conditions(rhs: RhsSpec, grid: RadialGrid, samples: int = 200,

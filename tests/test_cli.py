@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ultrafrac.cli import exit_code_for, load_config, main
+from ultrafrac.cli import _EXIT_TABLE, exit_code_for, load_config, main
 from ultrafrac.errors import ConfigError, MissingBeta, NoContraction
 
 DATA = Path(__file__).parent / "data"
@@ -248,6 +253,62 @@ def test_non_finite_tail_specs_are_config_errors(tmp_path, capsys, command, spec
     assert not out.exists()
 
 
+def test_verify_falls_back_to_the_frontier(tmp_path, capsys):
+    # the extension to the horizon diverges at shell 12; the residuals are
+    # evaluated at the frontier 10 instead
+    cfg = write_cfg(tmp_path, "q = 2\nalpha = 1\nu0 = 0.5\nrhs = 0.05*x\nM = 1\n"
+                              "F = 0.05\nbeta = 1.1\nN = 1\nk_min = -2\nk_max = 0\n"
+                              "tol = 1e-12\n")
+    out = tmp_path / "fallback.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(out.read_text().splitlines()) == 4
+
+
+def test_non_ascii_digit_is_an_expression_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "q = 2\nalpha = 0.5\nrhs = min(1, r)*\u00b2\n"
+                              "k_min = -3\nk_max = 3\n")
+    out = tmp_path / "out.csv"
+    assert main(["apply-d", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error[ExprSyntaxError]: malformed number literal at byte 10 (expected digit)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["integrate", "--config", "run.cfg"], ["solve"]])
+def test_bad_command_lines_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "usage: ultrafrac" in capsys.readouterr().err
+
+
+APPLY = "q = 2\nalpha = 0.5\nrhs = min(1, r)\nk_min = -3\nk_max = 3\n"
+
+CONFIG_ERRORS = {
+    "q-1": ("solve", BASE.replace("q = 2", "q = 1")),
+    "alpha-0": ("solve", BASE.replace("alpha = 0.5", "alpha = 0")),
+    "tol-0": ("solve", BASE.replace("tol = 1e-9", "tol = 0")),
+    "max_iter-0": ("solve", BASE.replace("max_iter = 80", "max_iter = 0")),
+    "apply-d-without-rhs": ("apply-d", APPLY.replace("rhs = min(1, r)\n", "")),
+    "tail-one-number": ("apply-d", APPLY + "lower_tail = powerlaw:1\n"),
+    "tail-unknown": ("apply-d", APPLY + "upper_tail = foo\n"),
+    "tail-not-numbers": ("apply-d", APPLY + "lower_tail = powerlaw:a,b\n"),
+    "apply-d-empty-window": ("apply-d", APPLY.replace("k_min = -3", "k_min = 4")),
+    "solve-empty-window": ("solve", BASE.replace("k_min = -3", "k_min = 5")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_branches_exit_2(tmp_path, capsys, case):
+    command, text = CONFIG_ERRORS[case]
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[ConfigError]: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_deep_cutoff_inside_float_range_still_solves(tmp_path, capsys):
     # tol = 1e-300 puts the certified cutoff at shell -1997, where the kernel
     # factor q^((a-1) k) is still a finite float
@@ -380,3 +441,78 @@ def test_out_key_in_config(tmp_path):
     cfg = write_cfg(tmp_path, f"q = 2\nalpha = 0.5\nm_max = 2\nout = {dest}\n")
     assert main(["constants", "--config", cfg]) == 0
     assert dest.exists()
+
+
+FUZZ_APPLY = ["min(1, r)", "0.5*min(1, r^-1.5)", "sin(r)*min(r, r^-2)", "1 - min(1, r)"]
+FUZZ_RHS = (["0.1*tanh(x)*min(1, r^-2)", "0.05*x", "0.1*sin(x + 1.3)", "min(1, r)"],
+            ["log(x)", "1/(x - 1)", "r^-2", "exp(r)", "(0-x)^0.5", "min(1, r)*\u00b2",
+             "2\u00b2*x", "1e999*x", "x +", "sqrt(x)"])
+FUZZ_TAILS = (["extend", "zero", "constant:0.5", "powerlaw:1,-0.5", "powerlaw:1,0.5",
+               "powerlaw:-2,1.5"],
+              ["constant:nan", "powerlaw:1,inf", "powerlaw:1", "foo"])
+
+
+def _mostly(pools):
+    """Mostly a draw from the first pool, sometimes from the second."""
+    good, bad = pools
+    return st.sampled_from(good * 3 + bad)
+
+
+@st.composite
+def fuzz_configs(draw):
+    command = draw(st.sampled_from(["apply-d", "apply-i", "solve", "verify", "constants"]))
+    k_min = draw(st.one_of(st.integers(-12, 6), st.integers(-3000, 3000)))
+    # the Picard stage runs up to N: near the window, so the work stays bounded
+    near = st.integers(-3, 1) if -40 <= k_min <= 0 else st.just(k_min)
+    alpha = draw(st.one_of(st.sampled_from([1e-8, 0.5, 1.0, 1.0 + 1e-11, 1.7]),
+                           st.floats(0.05, 4.0)))
+    cfg = {
+        "q": draw(st.sampled_from([2, 3, 5, 7, 11])),
+        "alpha": alpha,
+        "u0": draw(st.floats(-2.0, 2.0)),
+        "k_min": k_min,
+        "k_max": k_min + draw(st.integers(-1, 39)),
+        "N": draw(near) + draw(st.integers(-2, 2)),
+        "tol": draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3])),
+        "max_iter": draw(st.integers(1, 300)),
+        "rhs": draw(_mostly((FUZZ_APPLY, FUZZ_RHS[1]) if command.startswith("apply")
+                            else FUZZ_RHS)),
+        "M": draw(st.floats(1e-3, 1.0)),
+        "F": draw(st.floats(1e-3, 0.3)),
+        "beta": draw(st.one_of(st.none(), st.floats(-0.5, 2.0).map(lambda d: alpha + d))),
+        "F_l": draw(st.sampled_from([None, "min(0.1, q^(-0.5*l)/2)", "1e-6", "log(l)"])),
+        "lower_tail": draw(_mostly(FUZZ_TAILS)),
+        "upper_tail": draw(_mostly(FUZZ_TAILS)),
+        "m_max": draw(st.integers(0, 40)),
+    }
+    if command in ("solve", "verify") and draw(st.booleans()):
+        del cfg["k_max"]                 # solve and verify report up to N
+    return command, {k: v for k, v in cfg.items() if v is not None}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fuzz_configs())
+def test_every_accepted_config_ends_in_a_result_or_a_documented_exit(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text("".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
+                                for k, v in cfg.items()), encoding="utf-8")
+        out = Path(tmp) / "out.csv"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            rc = main([command, "--config", str(path), "--out", str(out)])
+        err = stderr.getvalue()
+        if rc != 0:
+            assert rc in {code for _, code in _EXIT_TABLE}, err
+            assert err.count("\n") == 1 and err.startswith("error[")
+            assert "Traceback" not in err
+            assert not out.exists()
+            return
+        assert err == ""
+        rows = out.read_text().splitlines()[1:]
+        if command == "constants":
+            want = cfg.get("m_max", 20) + 1
+        else:
+            want = cfg.get("k_max", cfg["N"]) - cfg["k_min"] + 1
+        assert len(rows) == want

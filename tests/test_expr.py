@@ -89,6 +89,24 @@ def test_number_forms():
     assert ev("2.5E+2") == 250.0
     assert ev(".5") == 0.5
     assert ev("2.") == 2.0
+    assert ev("\u0663*x", x=2.0) == 6.0          # float() reads the Arabic-Indic 3
+
+
+@pytest.mark.parametrize("text,offset", [("2\u00b2", 0), ("\u00b3.5", 0), ("1e\u00b2", 0),
+                                         ("x + 2\u00b2", 4), ("min(1, r)*\u00b2", 10)])
+def test_digits_float_rejects_are_malformed_literals(text, offset):
+    # str.isdigit takes superscripts such as the square sign; float() does not
+    with pytest.raises(ExprSyntaxError, match="malformed number literal") as err:
+        parse_expression(text)
+    assert err.value.offset == offset
+    assert err.value.expected == ("digit",)
+
+
+def test_literal_beyond_the_float_range_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError, match="out of float range") as err:
+        parse_expression("r + 1e999")
+    assert err.value.offset == 4
+    assert ev("1e-999") == 0.0
 
 
 @pytest.mark.parametrize("text", MALFORMED)

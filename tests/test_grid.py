@@ -305,6 +305,16 @@ def test_tail_spec_family():
         f.with_tails(upper=TailSpec.power_law(3.0, -0.5)).minus_constant(2.0)
 
 
+@pytest.mark.parametrize("c,e", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.5),
+                                 (1.0, math.nan), (1.0, math.inf)])
+def test_non_finite_tails_fail_at_construction(c, e):
+    # a nan constant tail used to build, and every operator output was nan
+    with pytest.raises(ValueError, match="finite"):
+        TailSpec(c, e)
+    with pytest.raises(ValueError, match="finite"):
+        RadialFunction.from_values(2, -3, [1.0] * 7, lower_tail=TailSpec.power_law(c, e))
+
+
 def test_growth_conditions_compact_support_passes_everything():
     f = RadialFunction.from_values(2, -1, [1.0, 2.0, 3.0])
     for kind in GrowthKind:

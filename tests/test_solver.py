@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -20,12 +21,13 @@ from ultrafrac import (
     bound_constant,
     check_rhs_conditions,
     continue_solution,
+    fit_power_tails,
     mild_residuals,
     picard_solve,
     qpow,
     verify_strict,
 )
-from ultrafrac.solver import _far_decay_constant, _v0_split_checks
+from ultrafrac.solver import _far_overflow_shell, _v0_split_checks
 from helpers import bits, catalog_rhs, continue_by_rebuild, v0_at, v0_split_checks_by_rescan
 
 Q, ALPHA, U0 = 2, 0.5, 1.0
@@ -344,27 +346,24 @@ def _shells_from_one(q, vals):
     return RadialFunction.from_values(q, 1, vals)
 
 
-def test_far_decay_constant_products_then_logs():
+def test_far_overflow_shell_compares_logs():
     q, beta = 5, 2.7                     # q^(beta l) overflows from shell 164 on
-    # while every q^(beta l) is finite, the maximum is the old product maximum
+    # a maximum that is a finite float gives no shell
     phi = _shells_from_one(q, [math.sin(j) * qpow(q, -2.0 * j) for j in range(1, 164)])
-    want = max(abs(phi.eval(j)) * qpow(q, beta * j) for j in range(1, 164))
-    c, j = _far_decay_constant(phi, q, beta, 163)
-    assert bits([c]) == bits([want])
-    assert abs(phi.eval(j)) * qpow(q, beta * j) == want
-    # past shell 163 the terms are compared in logs; here the last one wins
+    assert _far_overflow_shell(phi, q, beta, 163) is None
+    # past shell 163 the terms are compared in logs: q^(0.7 l) stays finite,
+    # q^(4 l) does not, and its largest term is the last one
     phi = _shells_from_one(q, [qpow(q, -2.0 * j) for j in range(1, 201)])
-    c, j = _far_decay_constant(phi, q, beta, 200)
-    assert j == 200
-    assert c == pytest.approx(qpow(q, 0.7 * 200), rel=1e-12)
-    # zero values past the cut contribute 0
+    assert _far_overflow_shell(phi, q, beta, 200) is None
+    assert _far_overflow_shell(phi, q, beta + 3.3, 200) == 200
+    # zero values contribute nothing, even where q^(beta l) is far out of range
     phi = _shells_from_one(q, [0.5 * qpow(q, -beta * j) if j <= 10 else 0.0
                                for j in range(1, 201)])
-    want = max(abs(phi.eval(j)) * qpow(q, beta * j) for j in range(1, 11))
-    assert _far_decay_constant(phi, q, beta, 200)[0] == want
-    # a maximum above the largest float is inf, with the shell of its term
+    assert _far_overflow_shell(phi, q, 30.0, 200) is None
+    assert _far_overflow_shell(phi, q, 50.0, 200) == 10
+    # a maximum above the largest float gives the shell of its term
     phi = _shells_from_one(q, [0.1] * 200)
-    assert _far_decay_constant(phi, q, beta, 200) == (math.inf, 200)
+    assert _far_overflow_shell(phi, q, beta, 200) == 200
 
 
 def test_v0_far_split_entry_fails_when_its_constant_overflows():
@@ -376,6 +375,62 @@ def test_v0_far_split_entry_fails_when_its_constant_overflows():
     assert near.passed
     assert not far.passed
     assert "not a finite float" in far.detail and "shell 200" in far.detail
+
+
+def _verify_pipeline(q, alpha, u0, window, N, tol, text, M, F, beta):
+    """The solution the verify command checks: solved 10 shells past the window."""
+    rhs = RhsSpec.from_expressions(text, M, F, q, None, beta)
+    sol = picard_solve(rhs, u0, alpha, q, N, k_min=window[0] - 10, tol=tol, max_iter=200)
+    return continue_solution(sol, window[1] + 10, tol=tol, max_iter=200)
+
+
+# verify cases for branches that no other test reaches; each report is pinned
+# by the sha256 of its check entries and residual bits
+FALLBACK = (2, 1.0, 0.5, (-2, 0), 1, 1e-12, "0.05*x", 1.0, 0.05, 1.1)
+PINNED_REPORTS = {
+    # the extension diverges at shell 12: evaluated at the frontier 10
+    "extension-fallback": (
+        FALLBACK, True,
+        "8061a3dd5578a8e10b43fa69f41afd051ef9046b3dc5ed0190237ca91e7456d5"),
+    # the fitted upper exponent 4.68 is >= alpha: the tail becomes a constant
+    "exponent-cap": (
+        (2, 1.7, -0.5, (-7, -3), 0, 1e-12, "0.05*sin(x + 1.3)", 0.1, 0.1, 3.2), True,
+        "f2422b9f896e282d1631a3fc52ea3dad2510f51818323d8a59f343ae83b245ae"),
+    # M = 0.001 understates max |f|: the near split entry fails
+    "near-split-fails": (
+        (5, 1.7, -2.0, (-6, 3), 1, 1e-9, "0.1*tanh(x)*min(1, r^-2)", 0.001, 0.05, 1.8),
+        False, "0c8b165c2f5dd8b6fd4426c202282cb7fc0149e5b40cc580e487ba2d95de11bd"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_verify_branches_keep_their_reports(case):
+    args, ok, digest = PINNED_REPORTS[case]
+    sol = _verify_pipeline(*args)
+    report = verify_strict(sol, args[3])
+    assert report.ok is ok
+    pinned = repr(report.checks).encode() + bits([r for _, r in report.residuals])
+    assert hashlib.sha256(pinned).hexdigest() == digest
+    detail = {c.name: c.detail for c in report.checks}
+    if case == "extension-fallback":
+        assert detail["evaluation horizon"].startswith(
+            "extension unavailable (iterate diverged at shell 12 ")
+        assert detail["evaluation horizon"].endswith("evaluating at frontier 10")
+    elif case == "exponent-cap":
+        g = RadialFunction(sol.grid, tuple(v - sol.u0 for v in sol.values))
+        assert fit_power_tails(g, fit_lower=False).upper_tail.e >= sol.alpha
+    else:
+        near = report.checks[2]
+        assert near.name == "v0 near-origin split bound" and not near.passed
+        assert near.detail.endswith("worst ratio 96.3957")
+
+
+def test_continuation_stops_at_a_diverging_iterate():
+    sol = _verify_pipeline(*FALLBACK)
+    assert sol.frontier == 10
+    with pytest.raises(ContractionFailure, match="iterate diverged at shell 12 ") as err:
+        continue_solution(sol, 12, tol=1e-13, max_iter=400)
+    assert err.value.shell == 12
 
 
 def test_strict_log_branch_runs():
