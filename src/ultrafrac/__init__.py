@@ -43,8 +43,8 @@ from .grid import (
     TailSpec,
     ball_power_integral,
     check_growth_conditions,
-    lower_sums,
     qpow,
+    running_sums,
     shell_measure,
     weighted_tail_sum,
 )

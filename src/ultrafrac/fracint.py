@@ -35,8 +35,8 @@ from .grid import (
     TailSpec,
     check_growth_conditions,
     is_log_branch,
-    lower_sums,
     qpow,
+    running_sums,
 )
 
 __all__ = [
@@ -106,8 +106,8 @@ def apply_ialpha(u: RadialFunction, alpha: float,
         raise ValueError(f"empty output window [{n_lo}, {n_hi}]")
     front = front_coeff(alpha, q)
     w, p = second_sum_weight(alpha)
-    s_plain = lower_sums(u, 1.0, n_lo - 1, n_hi - 1)
-    s_second = lower_sums(u, w, n_lo - 1, n_hi - 1, p)
+    s_plain = running_sums(u, 1.0, "lower", n_lo - 1, n_hi - 1)
+    s_second = running_sums(u, w, "lower", n_lo - 1, n_hi - 1, p)
     values = []
     for n, sp, ss in zip(range(n_lo, n_hi + 1), s_plain, s_second):
         diag = qpow(q, alpha * (n - 1)) * u.eval(n)

@@ -32,8 +32,8 @@ __all__ = [
     "shell_measure",
     "ball_power_integral",
     "weighted_tail_sum",
-    "LowerPrefix",
-    "lower_sums",
+    "RunningSum",
+    "running_sums",
     "GrowthKind",
     "ConditionEntry",
     "ConditionReport",
@@ -263,56 +263,48 @@ def weighted_tail_sum(f: RadialFunction, w: float, side: str, k0: int,
     """Sum of q**(w*k) * f(q**k) over k <= k0 (lower) or k >= k0 (upper).
 
     With ``index_power=1`` each term carries an extra factor k, which the
-    log-kernel branch of the integral operator needs.  Window terms are
-    accumulated in ascending shell order with compensated summation; the
-    infinite region outside the window is the exact geometric closed form.
+    log-kernel branch of the integral operator needs.  The infinite region
+    outside the window is the exact geometric closed form, added first; the
+    explicit terms follow with compensated summation, walking from that
+    region toward k0: ascending for a lower sum, descending for an upper
+    one.  This is the one-shell case of :func:`running_sums`.
 
     Raises :class:`DivergentTail` when the infinite region has ratio >= 1,
     i.e. when the convergence condition on the tail model fails.
     """
+    return running_sums(f, w, side, k0, k0, index_power)[0]
+
+
+def _step(side: str) -> int:
+    """+1 for a lower sum, which runs upward, and -1 for an upper one."""
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    if index_power not in (0, 1):
-        raise ValueError("index_power must be 0 or 1")
-    q = f.grid.q
-    k_min, k_max = f.grid.k_min, f.grid.k_max
-    p = index_power
-    acc = _Kahan()
-    if side == "lower":
-        acc.add(_tail_series(f.lower_tail, q, w, p, "lower", min(k0, k_min - 1)))
-        for k in range(k_min, min(k0, k_max) + 1):
-            acc.add(qpow(q, w * k) * _index_factor(k, p) * f.values[k - k_min])
-        for k in range(k_max + 1, k0 + 1):
-            acc.add(qpow(q, w * k) * _index_factor(k, p) * f.upper_tail.eval(q, k))
-    else:
-        for k in range(k0, k_min):
-            acc.add(qpow(q, w * k) * _index_factor(k, p) * f.lower_tail.eval(q, k))
-        for k in range(max(k0, k_min), k_max + 1):
-            acc.add(qpow(q, w * k) * _index_factor(k, p) * f.values[k - k_min])
-        acc.add(_tail_series(f.upper_tail, q, w, p, "upper", max(k0, k_max + 1)))
-    return acc.s
+    return 1 if side == "lower" else -1
 
 
-class LowerPrefix:
-    """Running lower sum of q**(w*k) * k**p * f(q**k), extended one shell at a time.
+class RunningSum:
+    """Running one-sided sum of q**(w*k) * k**p * f(q**k), extended one shell at a time.
 
-    The sum starts as the exact tail series over k <= k_start - 1; ``push``
-    then adds the value at shells k_start, k_start + 1, ... in ascending
-    order.  After the values of shells k_start..k0 are pushed, ``value``
-    equals :func:`weighted_tail_sum` at k0 of a function whose window starts
-    at k_start, bit for bit: both add the same tail anchor first and then
-    the same terms in the same compensated order.
+    A lower sum starts as the exact tail series over k <= k_start - 1 and
+    ``push`` adds the values at shells k_start, k_start + 1, ...; an upper
+    sum starts as the series over k >= k_start + 1 and ``push`` walks down
+    through k_start, k_start - 1, ...  After the values of k_start through
+    k0 are pushed, ``value`` equals :func:`weighted_tail_sum` at k0 of a
+    function whose window edge on the tail's side is k_start, bit for bit:
+    both add the same tail anchor first and then the same terms in the same
+    compensated order.
     """
 
-    __slots__ = ("_q", "_w", "_p", "_k", "_acc")
+    __slots__ = ("_q", "_w", "_p", "_k", "_step", "_acc")
 
     def __init__(self, tail: TailSpec, q: int, w: float, k_start: int,
-                 index_power: int = 0) -> None:
+                 index_power: int = 0, side: str = "lower") -> None:
         if index_power not in (0, 1):
             raise ValueError("index_power must be 0 or 1")
-        self._q, self._w, self._p, self._k = q, w, index_power, k_start
+        step = _step(side)
+        self._q, self._w, self._p, self._k, self._step = q, w, index_power, k_start, step
         self._acc = _Kahan()
-        self._acc.add(_tail_series(tail, q, w, index_power, "lower", k_start - 1))
+        self._acc.add(_tail_series(tail, q, w, index_power, side, k_start - step))
 
     @property
     def value(self) -> float:
@@ -322,34 +314,40 @@ class LowerPrefix:
         """Add the value at the next shell; return the sum through that shell."""
         k = self._k
         self._acc.add(qpow(self._q, self._w * k) * _index_factor(k, self._p) * v)
-        self._k = k + 1
+        self._k = k + self._step
         return self._acc.s
 
 
-def lower_sums(f: RadialFunction, w: float, k_lo: int, k_hi: int,
-               index_power: int = 0) -> list[float]:
-    """``weighted_tail_sum(f, w, "lower", k0, index_power)`` for every k0 in
-    [k_lo, k_hi], in one ascending pass.
+def running_sums(f: RadialFunction, w: float, side: str, k_lo: int, k_hi: int,
+                 index_power: int = 0) -> list[float]:
+    """``weighted_tail_sum(f, w, side, k0, index_power)`` for every k0 in
+    [k_lo, k_hi], in one pass, listed in ascending k0.
 
-    From k0 = k_min - 1 on, the per-shell sums share the tail anchor
-    k_min - 1 and differ only in how many ascending terms follow it, so one
-    :class:`LowerPrefix` yields all of them bit for bit in O(k_hi - k_min)
-    terms.  Below k_min - 1 the sum is the tail closed form anchored at k0
-    alone, which is the value of a prefix started at k0 + 1.
+    Let the edge be the window shell next to the summed tail: k_min for a
+    lower sum, k_max for an upper one.  From k0 one shell outside the edge
+    inward, the per-shell sums share the tail anchor there and differ only
+    in how many terms follow it, so one :class:`RunningSum` yields all of
+    them bit for bit, with one term per shell from the edge to the far end
+    of [k_lo, k_hi].  Further out, the sum is the tail closed form anchored
+    at k0 alone, the value of a fresh run.
     """
-    q, k_min = f.grid.q, f.grid.k_min
-    out = [LowerPrefix(f.lower_tail, q, w, k0 + 1, index_power).value
-           for k0 in range(k_lo, min(k_hi + 1, k_min - 1))]
-    if k_hi < k_min - 1:
-        return out
-    run = LowerPrefix(f.lower_tail, q, w, k_min, index_power)
-    if k_lo <= k_min - 1:
-        out.append(run.value)
-    for k in range(k_min, k_hi + 1):
-        s = run.push(f.eval(k))
-        if k >= k_lo:
-            out.append(s)
-    return out
+    step = _step(side)
+    q = f.grid.q
+    tail, edge = (f.lower_tail, f.grid.k_min) if step == 1 else (f.upper_tail, f.grid.k_max)
+    # walk x = step * k upward: an upper sum is a lower sum of the reflection
+    x_lo, x_hi = (k_lo, k_hi) if step == 1 else (-k_hi, -k_lo)
+    x_edge = step * edge
+    out = [RunningSum(tail, q, w, step * (x + 1), index_power, side).value
+           for x in range(x_lo, min(x_hi + 1, x_edge - 1))]
+    if x_hi >= x_edge - 1:
+        run = RunningSum(tail, q, w, edge, index_power, side)
+        if x_lo <= x_edge - 1:
+            out.append(run.value)
+        for x in range(x_edge, x_hi + 1):
+            s = run.push(f.eval(step * x))
+            if x >= x_lo:
+                out.append(s)
+    return out if step == 1 else out[::-1]
 
 
 class GrowthKind(enum.Enum):

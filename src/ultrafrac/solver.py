@@ -48,12 +48,12 @@ from .fracint import (
 from .grid import (
     ConditionEntry,
     ConditionReport,
-    LowerPrefix,
     RadialFunction,
     RadialGrid,
+    RunningSum,
     TailSpec,
-    lower_sums,
     qpow,
+    weighted_tail_sum,
 )
 from .vladimirov import apply_dalpha, fit_power_tails
 
@@ -316,8 +316,8 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
     front = front_coeff(alpha, q)
     phi = _phi_function(q, sol.k_min, values, rhs)
     w, p = second_sum_weight(alpha)
-    plain = LowerPrefix(phi.lower_tail, q, 1.0, sol.k_min)
-    second = LowerPrefix(phi.lower_tail, q, w, sol.k_min, p)
+    plain = RunningSum(phi.lower_tail, q, 1.0, sol.k_min)
+    second = RunningSum(phi.lower_tail, q, w, sol.k_min, p)
     for v in phi.values:
         plain.push(v)
         second.push(v)
@@ -440,8 +440,8 @@ def _v0_split_checks(work: MildSolution, n_hi: int) -> list[ConditionEntry]:
     one = 1.0 - 1.0 / q
     front = front_coeff(alpha, q)
     phi = _phi_function(q, work.k_min, work.values, rhs)
-    s_plain0 = lower_sums(phi, 1.0, 0, 0)[0]
-    s_alpha0 = lower_sums(phi, alpha, 0, 0)[0]
+    s_plain0 = weighted_tail_sum(phi, 1.0, "lower", 0)
+    s_alpha0 = weighted_tail_sum(phi, alpha, "lower", 0)
     c_near = abs(front) * rhs.M * max(1.0, one / (1.0 - qpow(q, -alpha)))
     beta = rhs.beta
     slack = 1.0 + 1e-9

@@ -28,9 +28,8 @@ from .grid import (
     RadialGrid,
     TailSpec,
     check_growth_conditions,
-    lower_sums,
     qpow,
-    weighted_tail_sum,
+    running_sums,
 )
 
 __all__ = [
@@ -85,11 +84,12 @@ def apply_dalpha(u: RadialFunction, alpha: float,
     dg = diag_coeff(alpha, q)
     pref = th * (1.0 - 1.0 / q)
     values = []
-    lows = lower_sums(u, 1.0, n_lo - 1, n_hi - 1)
-    for n, low in zip(range(n_lo, n_hi + 1), lows):
+    lows = running_sums(u, 1.0, "lower", n_lo - 1, n_hi - 1)
+    ups = running_sums(u, -alpha, "upper", n_lo + 1, n_hi + 1)
+    for n, low, up in zip(range(n_lo, n_hi + 1), lows, ups):
         s1 = _scaled_lower(pref, q, -(alpha + 1.0) * n, low)
         s2 = qpow(q, -alpha * n - 1.0) * dg * u.eval(n)
-        s3 = pref * weighted_tail_sum(u, -alpha, "upper", n + 1)
+        s3 = pref * up
         values.append(s1 + s2 + s3)
     return RadialFunction(RadialGrid(q, n_lo, n_hi), tuple(values), 0.0,
                           TailSpec.zero(), TailSpec.zero())

@@ -13,17 +13,20 @@ from ultrafrac import (
     TailSpec,
     apply_dalpha,
     apply_ialpha,
+    diag_coeff,
     fit_power_tails,
     front_coeff,
     is_log_branch,
-    lower_sums,
     qpow,
+    theta,
     weighted_tail_sum,
 )
 from ultrafrac.errors import ExprEvalError
 from ultrafrac.expr import _IMPL, BinOp, Call, Neg, Num, Var, _finite, _power
 from ultrafrac.fracint import offdiag_integral, second_sum_weight
+from ultrafrac.grid import _Kahan, _index_factor, _tail_series
 from ultrafrac.solver import _phi_function
+from ultrafrac.vladimirov import _scaled_lower
 
 #: shells of exact tail modelling appended above a window before fitting
 UPPER_PAD = 45
@@ -93,6 +96,45 @@ def integral_of_derivative(u: RadialFunction, alpha: float,
     return apply_ialpha(w, alpha, window)
 
 
+def ascending_upper_sum(f: RadialFunction, w: float, k0: int,
+                        index_power: int = 0) -> tuple[float, float]:
+    """The upper ``weighted_tail_sum`` in its former ascending order.
+
+    The terms at shells k0, k0 + 1, ... up to k_max (lower-tail values below
+    the window) come first, then the upper-tail closed form anchored at
+    max(k0, k_max + 1), all through one compensated accumulator.  Returns
+    the sum and the sum of the absolute values of what was added.
+    """
+    q, k_max = f.grid.q, f.grid.k_max
+    terms = [qpow(q, w * k) * _index_factor(k, index_power) * f.eval(k)
+             for k in range(k0, k_max + 1)]
+    terms.append(_tail_series(f.upper_tail, q, w, index_power, "upper", max(k0, k_max + 1)))
+    acc = _Kahan()
+    for t in terms:
+        acc.add(t)
+    return acc.s, sum(abs(t) for t in terms)
+
+
+def dalpha_by_shell(u: RadialFunction, alpha: float, window: tuple[int, int]) -> list[float]:
+    """``apply_dalpha`` values on ``window`` with each shell's lower and upper
+    sums taken by their own ``weighted_tail_sum`` calls.
+
+    The per-shell reference for the two running sums of ``apply_dalpha``:
+    the same terms in the same order, so the values agree bit for bit.
+    """
+    q = u.grid.q
+    pref = theta(alpha, q) * (1.0 - 1.0 / q)
+    dg = diag_coeff(alpha, q)
+    out = []
+    for n in range(window[0], window[1] + 1):
+        s1 = _scaled_lower(pref, q, -(alpha + 1.0) * n,
+                           weighted_tail_sum(u, 1.0, "lower", n - 1))
+        s2 = qpow(q, -alpha * n - 1.0) * dg * u.eval(n)
+        s3 = pref * weighted_tail_sum(u, -alpha, "upper", n + 1)
+        out.append(s1 + s2 + s3)
+    return out
+
+
 def catalog_rhs(q: int = 2, alpha: float = 0.5):
     """The reference nonlinearity 0.1 tanh(x) min(1, r^-2) with its constants."""
     from ultrafrac import RhsSpec
@@ -117,7 +159,8 @@ def v0_at(sol, rhs, alpha: float, N: int) -> float:
     phi = _phi_function(q, sol.k_min, sol.values[: N - sol.k_min + 1], rhs)
     w, p = second_sum_weight(alpha)
     return offdiag_integral(alpha, q, front_coeff(alpha, q), N + 1,
-                            lower_sums(phi, 1.0, N, N)[0], lower_sums(phi, w, N, N, p)[0])
+                            weighted_tail_sum(phi, 1.0, "lower", N),
+                            weighted_tail_sum(phi, w, "lower", N, p))
 
 
 def continue_by_rebuild(sol, rhs, alpha: float, k_max: int, tol: float = 1e-12,

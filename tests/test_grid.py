@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +19,12 @@ from ultrafrac import (
     TailSpec,
     ball_power_integral,
     check_growth_conditions,
-    lower_sums,
     qpow,
+    running_sums,
     shell_measure,
     weighted_tail_sum,
 )
-from helpers import bits, constant_function, indicator_unit_ball
+from helpers import ascending_upper_sum, bits, constant_function, indicator_unit_ball
 
 
 def test_grid_validation():
@@ -235,10 +236,10 @@ def test_lower_sums_match_per_shell_bitwise(q, w, p, lower, upper, c, e_lo, e_up
         want = [weighted_tail_sum(f, w, "lower", k0, p) for k0 in range(k_lo, k_hi + 1)]
     except DivergentTail as exc:
         with pytest.raises(DivergentTail) as got:
-            lower_sums(f, w, k_lo, k_hi, p)
+            running_sums(f, w, "lower", k_lo, k_hi, p)
         assert str(got.value) == str(exc)
         return
-    assert bits(lower_sums(f, w, k_lo, k_hi, p)) == bits(want)
+    assert bits(running_sums(f, w, "lower", k_lo, k_hi, p)) == bits(want)
 
 
 @pytest.mark.parametrize("k_lo,k_hi", [(-9, -6), (-9, 4), (-1, 6), (3, 8)])
@@ -246,7 +247,71 @@ def test_lower_sums_divergent_tail_in_every_region(k_lo, k_hi):
     f = RadialFunction.from_values(2, -2, [1.0, 2.0, 3.0],
                                    lower_tail=TailSpec.constant(1.0), value_at_zero=1.0)
     with pytest.raises(DivergentTail):
-        lower_sums(f, -0.2, k_lo, k_hi)
+        running_sums(f, -0.2, "lower", k_lo, k_hi)
+
+
+_UPPER_CASE = dict(
+    q=st.sampled_from([2, 3, 5, 7]),
+    w=st.sampled_from([-1.0, -0.3, -0.5, -1.7, -2.5, -0.05]),
+    p=st.sampled_from([0, 1]),
+    lower=_TAIL_KINDS, upper=_TAIL_KINDS,
+    c=st.floats(-3.0, 3.0), e_lo=st.floats(-1.0, 3.0), e_up=st.floats(-2.0, 1.0),
+    values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
+    k_min=st.integers(-8, 5),
+    where=st.sampled_from(["below", "across", "above"]),
+    offset=st.integers(0, 6), span=st.integers(0, 15))
+
+
+def _upper_case(q, lower, upper, c, e_lo, e_up, values, k_min, where, offset, span):
+    """A function and a k0 range below, across or above its window, mirroring
+    the ranges of the lower-sum test."""
+    f = RadialFunction.from_values(q, k_min, values,
+                                   lower_tail=_tail(lower, -c, e_lo),
+                                   upper_tail=_tail(upper, c, e_up))
+    k_max = f.grid.k_max
+    k_hi = {"above": k_max + 2 + offset + span,
+            "across": k_max + 2 + offset,
+            "below": k_min - 1 - offset}[where]
+    k_lo = k_hi - span if where != "across" else k_min - offset - span
+    return f, k_lo, k_hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_UPPER_CASE)
+def test_upper_sums_match_per_shell_bitwise(q, w, p, lower, upper, c, e_lo, e_up,
+                                            values, k_min, where, offset, span):
+    # the descending pass against one weighted_tail_sum call per shell: same
+    # bits (sign of zero included), or the same DivergentTail
+    f, k_lo, k_hi = _upper_case(q, lower, upper, c, e_lo, e_up, values, k_min,
+                                where, offset, span)
+    try:
+        want = [weighted_tail_sum(f, w, "upper", k0, p) for k0 in range(k_lo, k_hi + 1)]
+    except DivergentTail as exc:
+        with pytest.raises(DivergentTail) as got:
+            running_sums(f, w, "upper", k_lo, k_hi, p)
+        assert str(got.value) == str(exc)
+        return
+    assert bits(running_sums(f, w, "upper", k_lo, k_hi, p)) == bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_UPPER_CASE)
+def test_upper_sums_stay_near_the_ascending_order(q, w, p, lower, upper, c, e_lo, e_up,
+                                                  values, k_min, where, offset, span):
+    # the summation order of the upper sums changed from ascending to
+    # descending: each sum stays within 4 eps * sum |terms| of the old one,
+    # twice the bound of two compensated sums of the same terms
+    f, k_lo, k_hi = _upper_case(q, lower, upper, c, e_lo, e_up, values, k_min,
+                                where, offset, span)
+    try:
+        want = [ascending_upper_sum(f, w, k0, p) for k0 in range(k_lo, k_hi + 1)]
+    except DivergentTail as exc:
+        with pytest.raises(DivergentTail) as got:
+            running_sums(f, w, "upper", k_lo, k_hi, p)
+        assert str(got.value) == str(exc)
+        return
+    for got, (ref, size) in zip(running_sums(f, w, "upper", k_lo, k_hi, p), want):
+        assert abs(got - ref) <= 4.0 * sys.float_info.epsilon * size
 
 
 # every tail model the family allows, power_law(c, 0.0) included
@@ -256,37 +321,41 @@ _PINNED_TAILS = (TailSpec.zero(), TailSpec.constant(0.75), TailSpec.constant(-1.
 
 
 def test_tail_layer_keeps_its_bits():
-    # sha256 of weighted_tail_sum (both sides), lower_sums and eval outside
-    # the window over every pair of tail models, or of the error text where
-    # a tail sum diverges: the tail model's form must not move a single bit
-    digest = hashlib.sha256()
-    count = 0
+    # sha256 per side of weighted_tail_sum and running_sums, eval outside
+    # the window going with the lower side, over every pair of tail models,
+    # or of the error text where a tail sum diverges: the tail model's form
+    # must not move a single bit.  The lower digest dates from before the
+    # upper sums ran descending, and that change left it as it was.
+    digests = {"lower": hashlib.sha256(), "upper": hashlib.sha256()}
+    counts = {"lower": 0, "upper": 0}
 
-    def record(compute):
-        nonlocal count
+    def record(side, compute):
         try:
             out = compute()
         except DivergentTail as exc:
-            digest.update(b"E" + str(exc).encode())
+            digests[side].update(b"E" + str(exc).encode())
         else:
             out = out if isinstance(out, list) else [out]
-            digest.update(b"V" + bits(out))
-            count += len(out)
+            digests[side].update(b"V" + bits(out))
+            counts[side] += len(out)
 
     values = (0.5, -1.0, 0.25, 2.0, -0.75, 1.5, 0.125, -0.5)
     for q in (2, 3):
         for lower in _PINNED_TAILS:
             for upper in _PINNED_TAILS:
                 f = RadialFunction(RadialGrid(q, -3, 4), values, 0.0, lower, upper)
-                record(lambda: [f.eval(k) for k in range(-9, 11) if not -3 <= k <= 4])
+                record("lower", lambda: [f.eval(k) for k in range(-9, 11) if not -3 <= k <= 4])
                 for w in (1.0, 0.5, -0.7):
                     for p in (0, 1):
                         for side in ("lower", "upper"):
                             for k0 in (-7, -4, -3, 0, 4, 5, 9):
-                                record(lambda: weighted_tail_sum(f, w, side, k0, p))
-                        record(lambda: lower_sums(f, w, -7, 9, p))
-    assert count == 14084
-    assert digest.hexdigest() == "96bf1057507b5aa198fbdde005d673166e2314b163a2dd9327ec3dbe031b2b27"
+                                record(side, lambda: weighted_tail_sum(f, w, side, k0, p))
+                            record(side, lambda: running_sums(f, w, side, -7, 9, p))
+    assert counts == {"lower": 11928, "upper": 7392}
+    assert digests["lower"].hexdigest() == (
+        "1aaa331f1034d83582eceb7853325b5ec7fa5e7d6fd4747ae40564fcc0f1aa13")
+    assert digests["upper"].hexdigest() == (
+        "d59089a0d9732574dd002d48b30a25a6ea47c5c1babc6c8cc37ecaa2fa7c9fc6")
 
 
 def test_tail_spec_family():

@@ -399,7 +399,7 @@ PINNED_REPORTS = {
     # M = 0.001 understates max |f|: the near split entry fails
     "near-split-fails": (
         (5, 1.7, -2.0, (-6, 3), 1, 1e-9, "0.1*tanh(x)*min(1, r^-2)", 0.001, 0.05, 1.8),
-        False, "0c8b165c2f5dd8b6fd4426c202282cb7fc0149e5b40cc580e487ba2d95de11bd"),
+        False, "592ae14c115917e7274399b3ccf504140d4549576e7a347c47f65a2b7b07a090"),
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ultrafrac
 from ultrafrac import (
     DomainViolation,
     GrowthKind,
@@ -16,6 +17,7 @@ from ultrafrac import (
     RadialGrid,
     TailSpec,
     apply_dalpha,
+    apply_ialpha,
     check_growth_conditions,
     dalpha_oracle,
     diag_coeff,
@@ -24,8 +26,10 @@ from ultrafrac import (
     theta,
 )
 from helpers import (
+    bits,
     compact,
     constant_function,
+    dalpha_by_shell,
     indicator_unit_ball,
     random_compact,
 )
@@ -111,6 +115,65 @@ def test_series_matches_oracle_property(q, alpha, k_min, vals, offset):
     want = dalpha_oracle(u, alpha, n)
     got = apply_dalpha(u, alpha, (n, n)).values[0]
     assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+
+
+_TAIL_C = st.sampled_from([0.0]) | st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([2, 3, 5]),
+       alpha=st.sampled_from([0.3, 0.5, 1.0, 1.7, 2.5]),
+       c_lo=_TAIL_C, e_lo=st.sampled_from([0.0]) | st.floats(-0.9, 2.0),
+       c_up=_TAIL_C, e_up=st.sampled_from([0.0]) | st.floats(-2.0, 0.25),
+       vals=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
+       k_min=st.integers(-8, 5),
+       where=st.sampled_from(["below", "across", "above"]),
+       offset=st.integers(0, 6), span=st.integers(0, 10))
+def test_dalpha_matches_per_shell_reference_bitwise(q, alpha, c_lo, e_lo, c_up, e_up,
+                                                    vals, k_min, where, offset, span):
+    # both running sums of the derivative against one weighted_tail_sum call
+    # per shell and side, on output windows below, across and above the input
+    u = RadialFunction.from_values(q, k_min, vals, lower_tail=TailSpec(c_lo, e_lo),
+                                   upper_tail=TailSpec(c_up, e_up))
+    k_max = u.grid.k_max
+    n_lo, n_hi = {"below": (k_min - 1 - offset - span, k_min - 1 - offset),
+                  "across": (k_min - offset, k_max + offset + span),
+                  "above": (k_max + 1 + offset, k_max + 1 + offset + span)}[where]
+    got = apply_dalpha(u, alpha, (n_lo, n_hi)).values
+    assert bits(got) == bits(dalpha_by_shell(u, alpha, (n_lo, n_hi)))
+
+
+@pytest.mark.parametrize("op", [apply_dalpha, apply_ialpha])
+def test_operators_cost_linear_in_the_width(op, monkeypatch):
+    # counts, not timings: at 4x the width a linear operator makes about 4x
+    # the qpow calls and a quadratic one about 16x
+    calls = 0
+
+    def counting_qpow(q, x):
+        nonlocal calls
+        calls += 1
+        return qpow(q, x)
+
+    for module in (ultrafrac.grid, ultrafrac.fracint, ultrafrac.vladimirov):
+        monkeypatch.setattr(module, "qpow", counting_qpow)
+    rnd = random.Random(5)
+    cost = {}
+    for width in (100, 400):
+        u = compact(2, -width // 2, [rnd.uniform(-1.0, 1.0) for _ in range(width)])
+        calls = 0
+        op(u, 0.5)
+        cost[width] = calls
+    assert cost[400] <= 4.5 * cost[100]
+
+
+def test_wide_window_matches_oracle():
+    q, alpha = 2, 0.5
+    rnd = random.Random(8)
+    u = compact(q, -400, [rnd.uniform(-1.0, 1.0) for _ in range(800)])
+    out = apply_dalpha(u, alpha)
+    for n in (-400, -137, 126, 399):
+        want = dalpha_oracle(u, alpha, n)
+        assert out.eval(n) == pytest.approx(want, rel=1e-8)
 
 
 def _dilate(u, s):
