@@ -11,6 +11,7 @@ verification.
 from .errors import (
     ConfigError,
     ContractionFailure,
+    DeclarationViolated,
     DivergentTail,
     DomainViolation,
     ExpressionError,
@@ -41,18 +42,15 @@ from .grid import (
     RadialFunction,
     RadialGrid,
     TailSpec,
-    ball_power_integral,
     check_growth_conditions,
     qpow,
     running_sums,
-    shell_measure,
     weighted_tail_sum,
 )
 from .solver import (
     MildSolution,
     ResidualReport,
     RhsSpec,
-    check_rhs_conditions,
     continue_solution,
     mild_residuals,
     picard_solve,
@@ -62,7 +60,7 @@ from .vladimirov import (
     apply_dalpha,
     dalpha_oracle,
     diag_coeff,
-    fit_power_tails,
+    fit_upper_tail,
     theta,
 )
 

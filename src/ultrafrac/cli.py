@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import (
     ConfigError,
     ContractionFailure,
+    DeclarationViolated,
     DivergentTail,
     DomainViolation,
     ExpressionError,
@@ -175,8 +176,11 @@ def _input_function(cfg: RunConfig, command: str) -> RadialFunction:
 
 def _build_rhs(cfg: RunConfig, command: str) -> RhsSpec:
     _require(cfg, command, "rhs", "M", "F")
-    return RhsSpec.from_expressions(cfg.rhs, cfg.M, cfg.F, cfg.q,
-                                    cfg.F_l, cfg.beta)
+    try:
+        return RhsSpec.from_expressions(cfg.rhs, cfg.M, cfg.F, cfg.q,
+                                        cfg.F_l, cfg.beta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _solve_pipeline(cfg: RunConfig, command: str, extend_to: int) -> MildSolution:
@@ -223,6 +227,9 @@ def _render(cfg: RunConfig, command: str) -> tuple[list[str], list[tuple]]:
         k_lo, k_hi = _report_window(cfg)
         sol = _solve_pipeline(cfg, command, k_hi + _VERIFY_MARGIN)
         report = verify_strict(sol, (k_lo, k_hi))
+        if not report.ok:
+            raise DeclarationViolated("; ".join(
+                f"{c.name} fails: {c.detail}" for c in report.checks if not c.passed))
         res = dict(report.residuals)
         rows = [(k, qpow(cfg.q, k), sol.value(k), res[k])
                 for k in range(k_lo, k_hi + 1)]
@@ -280,6 +287,7 @@ _EXIT_TABLE: tuple[tuple[type, int], ...] = (
     (MarginTooSmall, 8),
     (ScalingViolation, 9),
     (RangeExceeded, 11),
+    (DeclarationViolated, 12),
 )
 
 

@@ -45,6 +45,11 @@ class MarginTooSmall(UltrafracError):
     """Strict verification needs the solved window to overhang the report window."""
 
 
+class DeclarationViolated(UltrafracError):
+    """A constant declared for the rhs (the bound M or the decay constant
+    implied by beta) fails its check along the solution."""
+
+
 class RangeExceeded(UltrafracError):
     """A power q^x leaves the float range: a radius, weight or kernel factor
     that the shell series needs cannot be represented."""

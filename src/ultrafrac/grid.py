@@ -29,8 +29,6 @@ __all__ = [
     "RadialGrid",
     "TailSpec",
     "RadialFunction",
-    "shell_measure",
-    "ball_power_integral",
     "weighted_tail_sum",
     "RunningSum",
     "running_sums",
@@ -217,23 +215,6 @@ class RadialFunction:
                               shift(self.lower_tail), shift(self.upper_tail))
 
 
-def shell_measure(grid: RadialGrid, n: int) -> float:
-    """Measure of the sphere |t| = q**n, i.e. (1 - 1/q) * q**n."""
-    return (1.0 - 1.0 / grid.q) * qpow(grid.q, n)
-
-
-def ball_power_integral(grid: RadialGrid, n: int, a: float) -> float:
-    """Integral of |t|**(a-1) over the ball |t| <= q**n, for a > 0.
-
-    Closed form ((1 - 1/q) / (1 - q**-a)) * q**(a*n); equals the shell sum
-    of (1 - 1/q) * q**j * q**((a-1)*j) over j <= n.
-    """
-    if a <= 0.0:
-        raise ValueError(f"ball power integral diverges for a = {a} <= 0")
-    q = grid.q
-    return (1.0 - 1.0 / q) / (1.0 - qpow(q, -a)) * qpow(q, a * n)
-
-
 def _index_factor(k: int, p: int) -> float:
     return 1.0 if p == 0 else float(k)
 
@@ -355,8 +336,6 @@ class GrowthKind(enum.Enum):
 
     DALPHA_DOMAIN = "dalpha_domain"
     IALPHA_DOMAIN = "ialpha_domain"
-    RIGHT_INVERSE = "right_inverse"
-    LEFT_INVERSE = "left_inverse_hypotheses"
 
 
 @dataclass(frozen=True)
@@ -408,54 +387,25 @@ def check_growth_conditions(f: RadialFunction, alpha: float,
     DALPHA_DOMAIN: existence of the fractional derivative (lower shells
     summable with weight q**k, upper with q**(-alpha*l)).  IALPHA_DOMAIN:
     existence of the regularized integral (lower weight max(q**k, q**(a*k)),
-    or |k| q**k on the log branch).  RIGHT_INVERSE: integral conditions plus
-    absolute summability above.  LEFT_INVERSE: the two-exponent decay
-    hypotheses under which the integral is also a left inverse, including
-    u(0) = 0.
+    or |k| q**k on the log branch).
 
     Report-valued: never raises for failing conditions.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    log_branch = is_log_branch(alpha)
     lo, up = f.lower_tail, f.upper_tail
     entries: list[ConditionEntry] = []
 
     if kind is GrowthKind.DALPHA_DOMAIN:
         entries.append(_series_entry("lower sum q^k |u|", lo, 1.0, "lower"))
         entries.append(_series_entry("upper sum q^(-a l) |u|", up, -alpha, "upper"))
-    elif kind in (GrowthKind.IALPHA_DOMAIN, GrowthKind.RIGHT_INVERSE):
-        if log_branch:
+    elif kind is GrowthKind.IALPHA_DOMAIN:
+        if is_log_branch(alpha):
             entries.append(_series_entry("lower sum |k| q^k |u|", lo, 1.0, "lower"))
         else:
             w = min(1.0, alpha)
             entries.append(_series_entry(
                 "lower sum max(q^k, q^(a k)) |u|", lo, w, "lower"))
-        if kind is GrowthKind.RIGHT_INVERSE:
-            name = "upper sum l |u|" if log_branch else "upper sum |u|"
-            entries.append(_series_entry(name, up, 0.0, "upper"))
-    elif kind is GrowthKind.LEFT_INVERSE:
-        entries.append(ConditionEntry(
-            "value at zero", f.value_at_zero == 0.0,
-            f"requires u(0) = 0, got {f.value_at_zero:g}"))
-        d_floor = max(0.0, alpha - 1.0)
-        if lo.is_null():
-            entries.append(ConditionEntry("lower decay exponent", True, "tail vanishes"))
-        else:
-            d = lo.e
-            entries.append(ConditionEntry(
-                "lower decay exponent", d > d_floor,
-                f"requires d > max(0, a-1) = {d_floor:g}; tail has d = {d:g}"))
-        if up.is_null():
-            entries.append(ConditionEntry("upper growth exponent", True, "tail vanishes"))
-        else:
-            h = max(0.0, up.e)
-            ok = h < alpha and (alpha <= 1.0 + LOG_BRANCH_TOL or h < alpha - 1.0)
-            need = f"h < {alpha:g}" if alpha <= 1.0 + LOG_BRANCH_TOL \
-                else f"h < {alpha:g} and h < {alpha - 1.0:g}"
-            entries.append(ConditionEntry(
-                "upper growth exponent", ok,
-                f"requires {need}; effective h = {h:g}"))
     else:
         raise ValueError(f"unknown growth kind {kind}")
     return ConditionReport(kind.value, tuple(entries))

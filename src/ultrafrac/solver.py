@@ -47,15 +47,13 @@ from .fracint import (
 )
 from .grid import (
     ConditionEntry,
-    ConditionReport,
     RadialFunction,
     RadialGrid,
     RunningSum,
     TailSpec,
     qpow,
-    weighted_tail_sum,
 )
-from .vladimirov import apply_dalpha, fit_power_tails
+from .vladimirov import apply_dalpha, fit_upper_tail
 
 __all__ = [
     "RhsSpec",
@@ -65,7 +63,6 @@ __all__ = [
     "mild_residuals",
     "continue_solution",
     "verify_strict",
-    "check_rhs_conditions",
 ]
 
 #: solved shells that verify_strict needs on each side of its window
@@ -80,7 +77,8 @@ class RhsSpec:
     is a global Lipschitz constant in x, ``F_l`` an optional per-shell
     Lipschitz map used by the continuation, and ``beta`` an optional decay
     exponent: |f(q^l, x)| <= C q^(-beta l) for l >= 1.  The constants are
-    declarations; :func:`check_rhs_conditions` verifies them by sampling.
+    declarations; :func:`verify_strict` checks M and the decay constant
+    along the solution it verifies.
     """
 
     f: Callable[[float, float], float]
@@ -366,8 +364,9 @@ def verify_strict(sol: MildSolution, window: tuple[int, int],
     is applied to u - u0 (constants are annihilated exactly), with a zero
     lower tail certified by the Picard cutoff and an upper tail fitted
     beyond an internally extended horizon, so that both tail models
-    contribute below the reporting accuracy.  Also re-checks the split
-    bounds on the continuation constants v0 for shells l >= 1.
+    contribute below the reporting accuracy.  Also checks the declared
+    constants of the rhs along the solution: the uniform bound M on every
+    solved shell and, when beta is declared, a finite decay constant.
 
     Requires a declared decay exponent beta > alpha and solved margins of
     at least 10 shells around the window; ``force=True`` skips the beta
@@ -414,76 +413,39 @@ def verify_strict(sol: MildSolution, window: tuple[int, int],
     # the upper tail stays zero below the reporting accuracy; a fitted
     # exponent that does not decay faster than q^(a l) becomes a constant
     if abs(g_vals[-1]) > 1e-13 * scale:
-        g = fit_power_tails(g, fit_lower=False)
+        g = fit_upper_tail(g)
         if g.upper_tail.e >= alpha - 1e-9:
             g = g.with_tails(upper=TailSpec.constant(g_vals[-1]))
     deriv = apply_dalpha(g, alpha, (n_lo, n_hi))
     residuals = tuple(
         (n, abs(w - rhs.f(qpow(q, n), work.value(n))))
         for n, w in zip(range(n_lo, n_hi + 1), deriv.values))
-    checks.extend(_v0_split_checks(work, n_hi))
+    checks.extend(_declared_constant_checks(work))
     return ResidualReport((n_lo, n_hi), residuals, tuple(checks))
 
 
-def _v0_split_checks(work: MildSolution, n_hi: int) -> list[ConditionEntry]:
-    """Certified bounds on the two pieces of v0 (integration over |y| <= 1
-    and over |y| >= q), for shells l >= 1 up to the report window."""
-    q, rhs, alpha = work.q, work.rhs, work.alpha
-    if is_log_branch(alpha):
-        return [ConditionEntry("v0 split bounds", True,
-                               "log branch: splits are stated for the generic "
-                               "kernel only; skipped")]
-    l_top = min(n_hi + 5, work.frontier - 1)
-    if l_top < 1 or work.k_min > 0:
-        return [ConditionEntry("v0 split bounds", True,
-                               "no shells l >= 1 inside the solved window")]
-    one = 1.0 - 1.0 / q
-    front = front_coeff(alpha, q)
+def _declared_constant_checks(work: MildSolution) -> list[ConditionEntry]:
+    """The declared constants of the rhs, checked along the solved shells.
+
+    The uniform bound M must hold for f(q^k, u_k) on every solved shell,
+    with the relative slack 1e-9; when beta is declared, the decay constant
+    max |f(q^l, u_l)| q^(beta l) over shells l >= 1 must be a finite float.
+    Each entry names the shell that decides it.
+    """
+    q, rhs = work.q, work.rhs
     phi = _phi_function(q, work.k_min, work.values, rhs)
-    s_plain0 = weighted_tail_sum(phi, 1.0, "lower", 0)
-    s_alpha0 = weighted_tail_sum(phi, alpha, "lower", 0)
-    c_near = abs(front) * rhs.M * max(1.0, one / (1.0 - qpow(q, -alpha)))
-    beta = rhs.beta
-    slack = 1.0 + 1e-9
-    worst_near = 0.0
-    worst_far = 0.0
-    near_ok = True
-    # running sums over shells 1..l, added in ascending order from 0
-    t_plain = t_alpha = 0.0
-    for l in range(1, l_top + 1):
-        kern_hi = qpow(q, (alpha - 1.0) * (l + 1))
-        v01 = offdiag_integral(alpha, q, front, l + 1, s_plain0, s_alpha0)
-        bound1 = c_near * (kern_hi + 1.0)
-        worst_near = max(worst_near, abs(v01) / bound1)
-        if abs(v01) > bound1 * slack:
-            near_ok = False
-        if beta is None:
-            continue
-        phi_l = phi.eval(l)
-        t_plain += qpow(q, l) * phi_l
-        t_alpha += qpow(q, alpha * l) * phi_l
-        v02 = offdiag_integral(alpha, q, front, l + 1, t_plain, t_alpha)
-        worst_far = max(worst_far, abs(v02) / (1.0 + qpow(q, (alpha - beta) * l)))
+    peak, shell = max((abs(v), k) for k, v in enumerate(phi.values, work.k_min))
     entries = [ConditionEntry(
-        "v0 near-origin split bound", near_ok,
-        f"|v01| <= C (q^((l+1)(a-1)) + 1) with C = {c_near:.6g}; "
-        f"worst ratio {worst_near:.6g}")]
-    if beta is None:
+        "uniform bound M", peak <= rhs.M * (1.0 + 1e-9),
+        f"max |f(q^k, u_k)| = {peak:.6g} at shell {shell}; declared M = {rhs.M:g}")]
+    if rhs.beta is None:
         return entries
-    # with C = max |phi_l| q^(b l) measured, |v02| <= |front| (1-1/q) C (q^((l+1)(a-1))
-    # sum q^((1-b)j) + sum q^((a-b)j)) holds term by term (float error about l eps
-    # <= 1e-12 against a 1e-9 slack): only a C beyond the float range fails it
-    far_shell = _far_overflow_shell(phi, q, beta, work.frontier)
-    if far_shell is not None:
-        entries.append(ConditionEntry(
-            "v0 far split bound", False,
-            f"the decay constant max |phi_l| q^(b l) over shells 1..{work.frontier} "
-            f"is not a finite float (largest term at shell {far_shell})"))
-    else:
-        entries.append(ConditionEntry(
-            "v0 far split bound", True,
-            f"|v02| within the certified decay bound; "
-            f"max |v02| / (1 + q^((a-b)l)) = {worst_far:.6g}"))
+    far_shell = _far_overflow_shell(phi, q, rhs.beta, work.frontier)
+    verdict = ("is a finite float" if far_shell is None else
+               f"is not a finite float (largest term at shell {far_shell})")
+    entries.append(ConditionEntry(
+        "decay constant", far_shell is None,
+        f"max |f(q^l, u_l)| q^(b l) over shells 1..{work.frontier} {verdict}"))
     return entries
 
 
@@ -500,86 +462,3 @@ def _far_overflow_shell(phi: RadialFunction, q: int, beta: float,
                           for j in range(1, frontier + 1)
                           if (a := abs(phi.eval(j))) > 0.0), default=(0.0, None))
     return shell if log_big > math.log(sys.float_info.max) else None
-
-
-def check_rhs_conditions(rhs: RhsSpec, grid: RadialGrid, samples: int = 200,
-                         u0: float = 0.0) -> ConditionReport:
-    """Sampled verification of the declared constants M, F, F_l and beta.
-
-    Evaluates f on a deterministic grid: every shell of ``grid`` crossed
-    with ``samples`` states spanning [-R, R], R = 10 (|u0| + M).  Each
-    declared constant gets one report entry, failing entries carry the
-    witnessing point.  Report-valued; nothing raises.
-    """
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    q = grid.q
-    R = 10.0 * (abs(u0) + rhs.M)
-    xs = [-R + 2.0 * R * i / (samples - 1) for i in range(samples)]
-    slack = 1.0 + 1e-9
-    entries: list[ConditionEntry] = []
-
-    worst_v = 0.0
-    worst_at = (grid.k_min, xs[0])
-    stride = max(1, samples // 64)
-    pairs = [(i, i + 1) for i in range(samples - 1)]
-    pairs += [(i, samples - 1 - i) for i in range(0, samples // 2, stride)]
-    worst_ratio = 0.0
-    ratio_at = worst_at
-    fl_ok = True
-    fl_detail = ""
-    beta_hats: dict[int, float] = {}
-    for l in grid.shells:
-        r = qpow(q, l)
-        vals = [rhs.f(r, x) for x in xs]
-        for x, v in zip(xs, vals):
-            if abs(v) > worst_v:
-                worst_v = abs(v)
-                worst_at = (l, x)
-        local = 0.0
-        for i, j in pairs:
-            dx = abs(xs[i] - xs[j])
-            if dx == 0.0:
-                continue
-            ratio = abs(vals[i] - vals[j]) / dx
-            if ratio > local:
-                local = ratio
-                if ratio > worst_ratio:
-                    worst_ratio = ratio
-                    ratio_at = (l, xs[i])
-        if rhs.F_l is not None and fl_ok:
-            cap = rhs.F_l(l)
-            if local > cap * slack:
-                fl_ok = False
-                fl_detail = (f"slope {local:.6g} exceeds F_l = {cap:.6g} "
-                             f"at shell l = {l}")
-        if rhs.beta is not None and l >= 1:
-            beta_hats[l] = max(abs(v) for v in vals) * qpow(q, rhs.beta * l)
-
-    entries.append(ConditionEntry(
-        "uniform bound M", worst_v <= rhs.M * slack,
-        f"max |f| = {worst_v:.6g} at (l = {worst_at[0]}, x = {worst_at[1]:.6g}); "
-        f"declared M = {rhs.M:g}"))
-    entries.append(ConditionEntry(
-        "global Lipschitz F", worst_ratio <= rhs.F * slack,
-        f"max slope = {worst_ratio:.6g} near (l = {ratio_at[0]}, "
-        f"x = {ratio_at[1]:.6g}); declared F = {rhs.F:g}"))
-    if rhs.F_l is not None:
-        entries.append(ConditionEntry(
-            "per-shell Lipschitz F_l", fl_ok,
-            fl_detail or "sampled slopes within F_l on every shell"))
-    if rhs.beta is not None:
-        if beta_hats:
-            ls = sorted(beta_hats)
-            base = max(beta_hats[l] for l in ls[:5])
-            peak = max(beta_hats.values())
-            ok = peak <= 1.1 * base + 1e-12
-            entries.append(ConditionEntry(
-                "decay exponent beta", ok,
-                f"|f| q^(beta l) peaks at {peak:.6g} vs early maximum "
-                f"{base:.6g}; declared beta = {rhs.beta:g}"))
-        else:
-            entries.append(ConditionEntry(
-                "decay exponent beta", True,
-                "no shells with l >= 1 in the sampling window"))
-    return ConditionReport("rhs_conditions", tuple(entries))

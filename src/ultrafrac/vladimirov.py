@@ -37,7 +37,7 @@ __all__ = [
     "diag_coeff",
     "apply_dalpha",
     "dalpha_oracle",
-    "fit_power_tails",
+    "fit_upper_tail",
 ]
 
 
@@ -133,38 +133,25 @@ def dalpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:
     return theta(alpha, q) * (sphere + outer)
 
 
-def fit_power_tails(f: RadialFunction, fit_lower: bool = True) -> RadialFunction:
-    """Fit approximate power-law tails from the outermost two window values:
-    the upper tail always, the lower one unless ``fit_lower`` is false.
+def fit_upper_tail(f: RadialFunction) -> RadialFunction:
+    """Fit an approximate power-law upper tail from the top two window values.
 
-    The exponent comes from the log-ratio of the last two shells on each
-    side; an edge value of zero gives a zero tail and a nonpositive ratio
-    falls back to a constant extension.  The fit is approximate by nature:
-    it is meant for chaining operators whose outputs are only known on a
-    window, with the window margin controlling the modelling error.
+    The exponent comes from the log-ratio of the last two shells; an edge
+    value of zero gives a zero tail and a nonpositive ratio falls back to a
+    constant extension.  The fit is approximate by nature: it is meant for
+    chaining operators whose outputs are only known on a window, with the
+    window margin controlling the modelling error.
     """
     if f.grid.size < 2:
         raise ValueError("tail fitting needs at least two window values")
     q = f.grid.q
-    lnq = math.log(q)
-
-    def fit(edge: float, inner: float, anchor: int, toward_upper: bool) -> TailSpec:
-        if edge == 0.0:
-            return TailSpec.zero()
-        if inner == 0.0:
-            return TailSpec.constant(edge)
-        ratio = edge / inner if toward_upper else inner / edge
-        if not (ratio > 0.0) or not math.isfinite(ratio):
-            return TailSpec.constant(edge)
-        e = math.log(ratio) / lnq
-        if not math.isfinite(e):
-            return TailSpec.constant(edge)
-        return TailSpec.power_law(edge * qpow(q, -e * anchor), e)
-
-    lower = f.lower_tail
-    if fit_lower:
-        lower = fit(f.values[0], f.values[1], f.grid.k_min, toward_upper=False)
-        if lower.e > 0.0 and f.value_at_zero != 0.0:
-            lower = TailSpec.constant(f.values[0])
-    upper = fit(f.values[-1], f.values[-2], f.grid.k_max, toward_upper=True)
-    return RadialFunction(f.grid, f.values, f.value_at_zero, lower, upper)
+    edge, inner = f.values[-1], f.values[-2]
+    if edge == 0.0:
+        return f.with_tails(upper=TailSpec.zero())
+    if inner == 0.0:
+        return f.with_tails(upper=TailSpec.constant(edge))
+    ratio = edge / inner
+    if not (ratio > 0.0) or not math.isfinite(ratio):
+        return f.with_tails(upper=TailSpec.constant(edge))
+    e = math.log(ratio) / math.log(q)
+    return f.with_tails(upper=TailSpec.power_law(edge * qpow(q, -e * f.grid.k_max), e))

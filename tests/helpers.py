@@ -1,20 +1,24 @@
-"""Shared fixtures: deterministic random functions and composition pipelines."""
+"""Shared fixtures: deterministic random functions, composition pipelines,
+reference implementations, and the measure identities, inverse-property
+hypotheses, lower-tail fit and sampled rhs checks that only tests use."""
 
 from __future__ import annotations
 
+import enum
 import math
 import random
 import struct
 
 from ultrafrac import (
     ConditionEntry,
+    ConditionReport,
     RadialFunction,
     RadialGrid,
     TailSpec,
     apply_dalpha,
     apply_ialpha,
     diag_coeff,
-    fit_power_tails,
+    fit_upper_tail,
     front_coeff,
     is_log_branch,
     qpow,
@@ -24,7 +28,9 @@ from ultrafrac import (
 from ultrafrac.errors import ExprEvalError
 from ultrafrac.expr import _IMPL, BinOp, Call, Neg, Num, Var, _finite, _power
 from ultrafrac.fracint import offdiag_integral, second_sum_weight
-from ultrafrac.grid import _Kahan, _index_factor, _tail_series
+from ultrafrac.grid import GrowthKind as SrcGrowthKind
+from ultrafrac.grid import LOG_BRANCH_TOL, _index_factor, _Kahan, _series_entry, _tail_series
+from ultrafrac.grid import check_growth_conditions as grid_conditions
 from ultrafrac.solver import _phi_function
 from ultrafrac.vladimirov import _scaled_lower
 
@@ -78,7 +84,7 @@ def derivative_of_integral(v: RadialFunction, alpha: float) -> RadialFunction:
     """
     a, b = v.grid.k_min, v.grid.k_max
     w = apply_ialpha(v, alpha, (a, b + UPPER_PAD))
-    w = fit_power_tails(w, fit_lower=False)
+    w = fit_upper_tail(w)
     return apply_dalpha(w, alpha, (a, b))
 
 
@@ -200,69 +206,179 @@ def continue_by_rebuild(sol, rhs, alpha: float, k_max: int, tol: float = 1e-12,
     return values, iters
 
 
-def v0_split_checks_by_rescan(work, rhs, alpha: float, n_hi: int) -> list:
-    """The v0 split-bound entries with every partial sum over shells 1..l
-    recomputed from scratch at each l.
+def shell_measure(grid: RadialGrid, n: int) -> float:
+    """Measure of the sphere |t| = q**n, i.e. (1 - 1/q) * q**n."""
+    return (1.0 - 1.0 / grid.q) * qpow(grid.q, n)
 
-    The O(L^2) reference for the running sums of ``verify_strict``: the same
-    terms added in the same ascending order, so the entries agree exactly.
+
+def ball_power_integral(grid: RadialGrid, n: int, a: float) -> float:
+    """Integral of |t|**(a-1) over the ball |t| <= q**n, for a > 0.
+
+    Closed form ((1 - 1/q) / (1 - q**-a)) * q**(a*n); equals the shell sum
+    of (1 - 1/q) * q**j * q**((a-1)*j) over j <= n.
     """
-    q = work.q
-    if is_log_branch(alpha):
-        return [ConditionEntry("v0 split bounds", True,
-                               "log branch: splits are stated for the generic "
-                               "kernel only; skipped")]
-    l_top = min(n_hi + 5, work.frontier - 1)
-    if l_top < 1 or work.k_min > 0:
-        return [ConditionEntry("v0 split bounds", True,
-                               "no shells l >= 1 inside the solved window")]
-    one = 1.0 - 1.0 / q
-    front = front_coeff(alpha, q)
-    phi_vals = [rhs.f(qpow(q, k), v) for k, v in zip(work.grid.shells, work.values)]
-    phi = RadialFunction.from_values(q, work.k_min, phi_vals,
-                                     lower_tail=TailSpec.constant(phi_vals[0]))
-    s_plain0 = weighted_tail_sum(phi, 1.0, "lower", 0)
-    s_alpha0 = weighted_tail_sum(phi, alpha, "lower", 0)
-    c_near = abs(front) * rhs.M * max(1.0, one / (1.0 - qpow(q, -alpha)))
-    beta = rhs.beta
-    c_far = 0.0
-    if beta is not None:
-        c_far = max((abs(phi.eval(j)) * qpow(q, beta * j)
-                     for j in range(1, work.frontier + 1)), default=0.0)
-    slack = 1.0 + 1e-9
-    worst_near = 0.0
-    worst_far = 0.0
-    near_ok = True
-    far_ok = True
-    for l in range(1, l_top + 1):
-        kern_hi = qpow(q, (alpha - 1.0) * (l + 1))
-        v01 = front * one * (kern_hi * s_plain0 - s_alpha0)
-        bound1 = c_near * (kern_hi + 1.0)
-        worst_near = max(worst_near, abs(v01) / bound1)
-        if abs(v01) > bound1 * slack:
-            near_ok = False
-        if beta is None:
-            continue
-        t_plain = sum(qpow(q, j) * phi.eval(j) for j in range(1, l + 1))
-        t_alpha = sum(qpow(q, alpha * j) * phi.eval(j) for j in range(1, l + 1))
-        v02 = front * one * (kern_hi * t_plain - t_alpha)
-        b_plain = sum(qpow(q, (1.0 - beta) * j) for j in range(1, l + 1))
-        b_alpha = sum(qpow(q, (alpha - beta) * j) for j in range(1, l + 1))
-        bound2 = abs(front) * one * c_far * (kern_hi * b_plain + b_alpha)
-        ref = 1.0 + qpow(q, (alpha - beta) * l)
-        worst_far = max(worst_far, abs(v02) / ref)
-        if abs(v02) > bound2 * slack + 1e-300:
-            far_ok = False
+    if a <= 0.0:
+        raise ValueError(f"ball power integral diverges for a = {a} <= 0")
+    q = grid.q
+    return (1.0 - 1.0 / q) / (1.0 - qpow(q, -a)) * qpow(q, a * n)
+
+
+class GrowthKind(enum.Enum):
+    """The growth-condition sets of ``ultrafrac.GrowthKind`` (the two operator
+    domains) plus the inverse-property hypotheses that only tests check."""
+
+    DALPHA_DOMAIN = "dalpha_domain"
+    IALPHA_DOMAIN = "ialpha_domain"
+    RIGHT_INVERSE = "right_inverse"
+    LEFT_INVERSE = "left_inverse_hypotheses"
+
+
+def check_growth_conditions(f: RadialFunction, alpha: float,
+                            kind: GrowthKind) -> ConditionReport:
+    """``ultrafrac.check_growth_conditions`` for the operator domains, plus:
+
+    RIGHT_INVERSE: the integral's domain conditions plus absolute
+    summability above.  LEFT_INVERSE: the two-exponent decay hypotheses
+    under which the integral is also a left inverse, including u(0) = 0.
+    """
+    if kind in (GrowthKind.DALPHA_DOMAIN, GrowthKind.IALPHA_DOMAIN):
+        return grid_conditions(f, alpha, SrcGrowthKind[kind.name])
+    if kind is GrowthKind.RIGHT_INVERSE:
+        domain = grid_conditions(f, alpha, SrcGrowthKind.IALPHA_DOMAIN)
+        name = "upper sum l |u|" if is_log_branch(alpha) else "upper sum |u|"
+        entries = domain.entries + (_series_entry(name, f.upper_tail, 0.0, "upper"),)
+        return ConditionReport(kind.value, entries)
+    lo, up = f.lower_tail, f.upper_tail
     entries = [ConditionEntry(
-        "v0 near-origin split bound", near_ok,
-        f"|v01| <= C (q^((l+1)(a-1)) + 1) with C = {c_near:.6g}; "
-        f"worst ratio {worst_near:.6g}")]
-    if beta is not None:
+        "value at zero", f.value_at_zero == 0.0,
+        f"requires u(0) = 0, got {f.value_at_zero:g}")]
+    d_floor = max(0.0, alpha - 1.0)
+    if lo.is_null():
+        entries.append(ConditionEntry("lower decay exponent", True, "tail vanishes"))
+    else:
+        d = lo.e
         entries.append(ConditionEntry(
-            "v0 far split bound", far_ok,
-            f"|v02| within the certified decay bound; "
-            f"max |v02| / (1 + q^((a-b)l)) = {worst_far:.6g}"))
-    return entries
+            "lower decay exponent", d > d_floor,
+            f"requires d > max(0, a-1) = {d_floor:g}; tail has d = {d:g}"))
+    if up.is_null():
+        entries.append(ConditionEntry("upper growth exponent", True, "tail vanishes"))
+    else:
+        h = max(0.0, up.e)
+        ok = h < alpha and (alpha <= 1.0 + LOG_BRANCH_TOL or h < alpha - 1.0)
+        need = f"h < {alpha:g}" if alpha <= 1.0 + LOG_BRANCH_TOL \
+            else f"h < {alpha:g} and h < {alpha - 1.0:g}"
+        entries.append(ConditionEntry(
+            "upper growth exponent", ok,
+            f"requires {need}; effective h = {h:g}"))
+    return ConditionReport(kind.value, tuple(entries))
+
+
+def fit_power_tails(f: RadialFunction) -> RadialFunction:
+    """``fit_upper_tail`` after a lower power-law tail fitted the same way
+    from the first two window values.
+
+    A fitted lower tail that decays toward 0 while u(0) != 0 would break
+    continuity at 0, so it falls back to the constant extension.
+    """
+    if f.grid.size < 2:
+        raise ValueError("tail fitting needs at least two window values")
+    q = f.grid.q
+
+    def lower() -> TailSpec:
+        edge, inner = f.values[0], f.values[1]
+        if edge == 0.0:
+            return TailSpec.zero()
+        ratio = inner / edge
+        if inner == 0.0 or not (ratio > 0.0) or not math.isfinite(ratio):
+            return TailSpec.constant(edge)
+        e = math.log(ratio) / math.log(q)
+        tail = TailSpec.power_law(edge * qpow(q, -e * f.grid.k_min), e)
+        return TailSpec.constant(edge) if e > 0.0 and f.value_at_zero != 0.0 else tail
+
+    return fit_upper_tail(f.with_tails(lower=lower()))
+
+
+def check_rhs_conditions(rhs, grid: RadialGrid, samples: int = 200,
+                         u0: float = 0.0) -> ConditionReport:
+    """Sampled verification of the declared constants M, F, F_l and beta.
+
+    Evaluates f on a deterministic grid: every shell of ``grid`` crossed
+    with ``samples`` states spanning [-R, R], R = 10 (|u0| + M).  Each
+    declared constant gets one report entry, failing entries carry the
+    witnessing point.  Report-valued; nothing raises.
+    """
+    if samples < 100:
+        raise ValueError(f"need at least 100 samples, got {samples}")
+    q = grid.q
+    R = 10.0 * (abs(u0) + rhs.M)
+    xs = [-R + 2.0 * R * i / (samples - 1) for i in range(samples)]
+    slack = 1.0 + 1e-9
+    entries: list[ConditionEntry] = []
+
+    worst_v = 0.0
+    worst_at = (grid.k_min, xs[0])
+    stride = max(1, samples // 64)
+    pairs = [(i, i + 1) for i in range(samples - 1)]
+    pairs += [(i, samples - 1 - i) for i in range(0, samples // 2, stride)]
+    worst_ratio = 0.0
+    ratio_at = worst_at
+    fl_ok = True
+    fl_detail = ""
+    beta_hats: dict[int, float] = {}
+    for l in grid.shells:
+        r = qpow(q, l)
+        vals = [rhs.f(r, x) for x in xs]
+        for x, v in zip(xs, vals):
+            if abs(v) > worst_v:
+                worst_v = abs(v)
+                worst_at = (l, x)
+        local = 0.0
+        for i, j in pairs:
+            dx = abs(xs[i] - xs[j])
+            if dx == 0.0:
+                continue
+            ratio = abs(vals[i] - vals[j]) / dx
+            if ratio > local:
+                local = ratio
+                if ratio > worst_ratio:
+                    worst_ratio = ratio
+                    ratio_at = (l, xs[i])
+        if rhs.F_l is not None and fl_ok:
+            cap = rhs.F_l(l)
+            if local > cap * slack:
+                fl_ok = False
+                fl_detail = (f"slope {local:.6g} exceeds F_l = {cap:.6g} "
+                             f"at shell l = {l}")
+        if rhs.beta is not None and l >= 1:
+            beta_hats[l] = max(abs(v) for v in vals) * qpow(q, rhs.beta * l)
+
+    entries.append(ConditionEntry(
+        "uniform bound M", worst_v <= rhs.M * slack,
+        f"max |f| = {worst_v:.6g} at (l = {worst_at[0]}, x = {worst_at[1]:.6g}); "
+        f"declared M = {rhs.M:g}"))
+    entries.append(ConditionEntry(
+        "global Lipschitz F", worst_ratio <= rhs.F * slack,
+        f"max slope = {worst_ratio:.6g} near (l = {ratio_at[0]}, "
+        f"x = {ratio_at[1]:.6g}); declared F = {rhs.F:g}"))
+    if rhs.F_l is not None:
+        entries.append(ConditionEntry(
+            "per-shell Lipschitz F_l", fl_ok,
+            fl_detail or "sampled slopes within F_l on every shell"))
+    if rhs.beta is not None:
+        if beta_hats:
+            ls = sorted(beta_hats)
+            base = max(beta_hats[l] for l in ls[:5])
+            peak = max(beta_hats.values())
+            ok = peak <= 1.1 * base + 1e-12
+            entries.append(ConditionEntry(
+                "decay exponent beta", ok,
+                f"|f| q^(beta l) peaks at {peak:.6g} vs early maximum "
+                f"{base:.6g}; declared beta = {rhs.beta:g}"))
+        else:
+            entries.append(ConditionEntry(
+                "decay exponent beta", True,
+                "no shells with l >= 1 in the sampling window"))
+    return ConditionReport("rhs_conditions", tuple(entries))
 
 
 def eval_by_tree_walk(node, q, variables: tuple[str, ...], *args: float) -> float:

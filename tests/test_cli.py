@@ -392,6 +392,38 @@ def test_exit_codes_map(tmp_path, capsys):
     assert exit_code_for(RuntimeError()) == 1
 
 
+def test_exit_code_table_matches_readme():
+    # every code the CLI can return has a row in the README, and no row is stale
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Exit codes", 1)[1].split("\n\n", 2)[1]
+    rows = [line for line in table.splitlines() if line.startswith("| ")][1:]
+    documented = {int(line.split("|")[1]) for line in rows}
+    assert documented == {0, 1, 10} | {code for _, code in _EXIT_TABLE}
+
+
+def test_verify_exits_12_when_a_declared_constant_fails(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--config", str(DATA / "understated_m.cfg"),
+                 "--out", str(out)]) == 12
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error[DeclarationViolated]: uniform bound M fails: ")
+    assert "at shell 0; declared M = 0.001" in err
+    assert not out.exists()
+
+
+def test_nonpositive_constants_are_config_errors(tmp_path, capsys):
+    for line in ("M = 0", "M = -1", "F = 0"):
+        key = line.split()[0]
+        text = "".join(f"{line}\n" if row.startswith(key + " =") else row + "\n"
+                       for row in BASE.splitlines())
+        cfg = write_cfg(tmp_path, text)
+        for command in ("solve", "verify"):
+            assert main([command, "--config", cfg]) == 2, line
+            err = capsys.readouterr().err
+            assert err.startswith(f"error[ConfigError]: {key} must be positive"), err
+
+
 def test_domain_violation_exit_code(tmp_path, capsys):
     # upper tail grows faster than the derivative's domain allows
     cfg = write_cfg(tmp_path, "q = 2\nalpha = 0.5\nk_min = -2\nk_max = 2\n"
@@ -458,6 +490,12 @@ def _mostly(pools):
     return st.sampled_from(good * 3 + bad)
 
 
+def _rarely_nonpositive(good):
+    """Mostly a draw from ``good``, sometimes zero or a negative value."""
+    return st.integers(0, 7).flatmap(
+        lambda i: good if i else st.sampled_from([0.0, -1.0]))
+
+
 @st.composite
 def fuzz_configs(draw):
     command = draw(st.sampled_from(["apply-d", "apply-i", "solve", "verify", "constants"]))
@@ -477,8 +515,8 @@ def fuzz_configs(draw):
         "max_iter": draw(st.integers(1, 300)),
         "rhs": draw(_mostly((FUZZ_APPLY, FUZZ_RHS[1]) if command.startswith("apply")
                             else FUZZ_RHS)),
-        "M": draw(st.floats(1e-3, 1.0)),
-        "F": draw(st.floats(1e-3, 0.3)),
+        "M": draw(_rarely_nonpositive(st.floats(1e-3, 1.0))),
+        "F": draw(_rarely_nonpositive(st.floats(1e-3, 0.3))),
         "beta": draw(st.one_of(st.none(), st.floats(-0.5, 2.0).map(lambda d: alpha + d))),
         "F_l": draw(st.sampled_from([None, "min(0.1, q^(-0.5*l)/2)", "1e-6", "log(l)"])),
         "lower_tail": draw(_mostly(FUZZ_TAILS)),

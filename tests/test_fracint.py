@@ -25,7 +25,6 @@ from ultrafrac import (
     kernel_constant,
     picard_solve,
     qpow,
-    shell_measure,
     weighted_tail_sum,
 )
 from ultrafrac.fracint import offdiag_integral, second_sum_weight
@@ -36,6 +35,7 @@ from helpers import (
     derivative_of_integral,
     integral_of_derivative,
     random_compact,
+    shell_measure,
     two_exponent_family,
 )
 

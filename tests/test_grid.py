@@ -12,19 +12,24 @@ from hypothesis import strategies as st
 
 from ultrafrac import (
     DivergentTail,
-    GrowthKind,
     RadialFunction,
     RadialGrid,
     RangeExceeded,
     TailSpec,
-    ball_power_integral,
-    check_growth_conditions,
     qpow,
     running_sums,
-    shell_measure,
     weighted_tail_sum,
 )
-from helpers import ascending_upper_sum, bits, constant_function, indicator_unit_ball
+from helpers import (
+    GrowthKind,
+    ascending_upper_sum,
+    ball_power_integral,
+    bits,
+    check_growth_conditions,
+    constant_function,
+    indicator_unit_ball,
+    shell_measure,
+)
 
 
 def test_grid_validation():

@@ -19,16 +19,15 @@ from ultrafrac import (
     RhsSpec,
     ToleranceNotReached,
     bound_constant,
-    check_rhs_conditions,
     continue_solution,
-    fit_power_tails,
+    fit_upper_tail,
     mild_residuals,
     picard_solve,
     qpow,
     verify_strict,
 )
-from ultrafrac.solver import _far_overflow_shell, _v0_split_checks
-from helpers import bits, catalog_rhs, continue_by_rebuild, v0_at, v0_split_checks_by_rescan
+from ultrafrac.solver import _declared_constant_checks, _far_overflow_shell
+from helpers import bits, catalog_rhs, check_rhs_conditions, continue_by_rebuild, v0_at
 
 Q, ALPHA, U0 = 2, 0.5, 1.0
 
@@ -321,27 +320,6 @@ def test_full_pipeline_above_order_one():
     assert report.max_residual <= 1e-8 * (1.0 + rhs.M)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.7])
-@pytest.mark.parametrize("beta_gap", [None, 0.5, 1.0])
-def test_v0_split_checks_match_rescan(q, alpha, beta_gap):
-    # running partial sums against sums over shells 1..l recomputed at every l
-    beta = None if beta_gap is None else alpha + beta_gap
-    rhs = RhsSpec(lambda r, x: 0.1 * math.tanh(x) * min(1.0, r ** -2.0),
-                  M=0.1, F=0.1, beta=beta)
-    window = (-2, 20)
-    sol = picard_solve(rhs, U0, alpha, q, 0, k_min=window[0] - 10, tol=1e-12, max_iter=60)
-    # solved past the verify horizon (margin <= 60 shells here), so that
-    # verify_strict checks this very solution
-    ext = continue_solution(sol, window[1] + 64, tol=1e-13, max_iter=400)
-    report = verify_strict(ext, window, force=True)
-    horizon = int(report.checks[1].detail.rsplit(" ", 1)[1])
-    assert horizon <= ext.frontier
-    want = v0_split_checks_by_rescan(ext, rhs, alpha, window[1])
-    assert len(want) == (1 if beta is None else 2)
-    assert list(report.checks[2:]) == want
-
-
 def _shells_from_one(q, vals):
     return RadialFunction.from_values(q, 1, vals)
 
@@ -366,15 +344,41 @@ def test_far_overflow_shell_compares_logs():
     assert _far_overflow_shell(phi, q, beta, 200) == 200
 
 
-def test_v0_far_split_entry_fails_when_its_constant_overflows():
+def test_decay_constant_entry_fails_when_the_constant_overflows():
     q, alpha = 5, 1.7
     rhs = RhsSpec(lambda r, x: 0.1, M=0.1, F=0.1, beta=2.7)
     grid = RadialGrid(q, -3, 200)
     work = MildSolution(grid, rhs, alpha, U0, (U0,) * grid.size, (0.0,), 0.0, True)
-    near, far = _v0_split_checks(work, 3)
-    assert near.passed
-    assert not far.passed
-    assert "not a finite float" in far.detail and "shell 200" in far.detail
+    bound, decay = _declared_constant_checks(work)
+    assert bound.name == "uniform bound M" and bound.passed
+    assert decay.name == "decay constant" and not decay.passed
+    assert "not a finite float" in decay.detail and "shell 200" in decay.detail
+    # without a declared beta there is no decay entry
+    assert _declared_constant_checks(replace(work, rhs=replace(rhs, beta=None))) == [bound]
+
+
+@pytest.mark.parametrize("excess,ok", [(0.9e-9, True), (1.1e-9, False)])
+def test_uniform_bound_entry_has_a_relative_slack_of_1e9(excess, ok):
+    # max |f(q^k, u_k)| = 1 at shell 7 against M = 1 / (1 + excess)
+    rhs = RhsSpec(lambda r, x: x, M=1.0 / (1.0 + excess), F=1.0)
+    grid = RadialGrid(3, -4, 12)
+    values = tuple(1.0 if k == 7 else 0.5 for k in grid.shells)
+    work = MildSolution(grid, rhs, 0.5, 0.0, values, (0.0,), 0.0, True)
+    (bound,) = _declared_constant_checks(work)
+    assert bound.passed is ok
+    assert bound.detail.startswith("max |f(q^k, u_k)| = 1 at shell 7; declared M = ")
+
+
+def test_log_branch_checks_the_declared_constants():
+    # at alpha = 1 the declared constants are checked as at any other alpha
+    rhs = replace(catalog_rhs(3, 1.0), M=0.01)
+    N = pick_frontier(rhs, q=3, alpha=1.0)
+    sol = picard_solve(rhs, 0.5, 1.0, 3, N, tol=1e-12, max_iter=60)
+    ext = continue_solution(sol, 8, tol=1e-12, max_iter=60)
+    report = verify_strict(ext, (-4, -2))
+    assert not report.ok
+    assert [(c.name, c.passed) for c in report.checks[2:]] == [
+        ("uniform bound M", False), ("decay constant", True)]
 
 
 def _verify_pipeline(q, alpha, u0, window, N, tol, text, M, F, beta):
@@ -385,32 +389,37 @@ def _verify_pipeline(q, alpha, u0, window, N, tol, text, M, F, beta):
 
 
 # verify cases for branches that no other test reaches; each report is pinned
-# by the sha256 of its check entries and residual bits
+# by the sha256 of its residual bits and by the name and outcome of each check
 FALLBACK = (2, 1.0, 0.5, (-2, 0), 1, 1e-12, "0.05*x", 1.0, 0.05, 1.1)
+PASSING_CHECKS = [("decay exponent beta", True), ("evaluation horizon", True),
+                  ("uniform bound M", True), ("decay constant", True)]
 PINNED_REPORTS = {
     # the extension diverges at shell 12: evaluated at the frontier 10
     "extension-fallback": (
-        FALLBACK, True,
-        "8061a3dd5578a8e10b43fa69f41afd051ef9046b3dc5ed0190237ca91e7456d5"),
+        FALLBACK, PASSING_CHECKS,
+        "6361db8b10570fc929cc2d14e12092bc6bfc41d7d6f31c03643da8cd30ffe1e4"),
     # the fitted upper exponent 4.68 is >= alpha: the tail becomes a constant
     "exponent-cap": (
-        (2, 1.7, -0.5, (-7, -3), 0, 1e-12, "0.05*sin(x + 1.3)", 0.1, 0.1, 3.2), True,
-        "f2422b9f896e282d1631a3fc52ea3dad2510f51818323d8a59f343ae83b245ae"),
-    # M = 0.001 understates max |f|: the near split entry fails
+        (2, 1.7, -0.5, (-7, -3), 0, 1e-12, "0.05*sin(x + 1.3)", 0.1, 0.1, 3.2),
+        PASSING_CHECKS,
+        "566b66e09f14d9bd2107f91985aa74c94090f12734646ce4b79839e82323b069"),
+    # M = 0.001 understates max |f|: the uniform bound entry fails
     "near-split-fails": (
         (5, 1.7, -2.0, (-6, 3), 1, 1e-9, "0.1*tanh(x)*min(1, r^-2)", 0.001, 0.05, 1.8),
-        False, "592ae14c115917e7274399b3ccf504140d4549576e7a347c47f65a2b7b07a090"),
+        [("decay exponent beta", True), ("evaluation horizon", True),
+         ("uniform bound M", False), ("decay constant", True)],
+        "bd3df8b5b02cc975cf11e1382213a54eb2f612a76e5f0b4407828dc8b9c96d72"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
 def test_verify_branches_keep_their_reports(case):
-    args, ok, digest = PINNED_REPORTS[case]
+    args, checks, digest = PINNED_REPORTS[case]
     sol = _verify_pipeline(*args)
     report = verify_strict(sol, args[3])
-    assert report.ok is ok
-    pinned = repr(report.checks).encode() + bits([r for _, r in report.residuals])
-    assert hashlib.sha256(pinned).hexdigest() == digest
+    assert [(c.name, c.passed) for c in report.checks] == checks
+    residual_bits = bits([r for _, r in report.residuals])
+    assert hashlib.sha256(residual_bits).hexdigest() == digest
     detail = {c.name: c.detail for c in report.checks}
     if case == "extension-fallback":
         assert detail["evaluation horizon"].startswith(
@@ -418,11 +427,10 @@ def test_verify_branches_keep_their_reports(case):
         assert detail["evaluation horizon"].endswith("evaluating at frontier 10")
     elif case == "exponent-cap":
         g = RadialFunction(sol.grid, tuple(v - sol.u0 for v in sol.values))
-        assert fit_power_tails(g, fit_lower=False).upper_tail.e >= sol.alpha
+        assert fit_upper_tail(g).upper_tail.e >= sol.alpha
     else:
-        near = report.checks[2]
-        assert near.name == "v0 near-origin split bound" and not near.passed
-        assert near.detail.endswith("worst ratio 96.3957")
+        assert detail["uniform bound M"] == (
+            "max |f(q^k, u_k)| = 0.0964028 at shell 0; declared M = 0.001")
 
 
 def test_continuation_stops_at_a_diverging_iterate():

@@ -12,24 +12,24 @@ from hypothesis import strategies as st
 import ultrafrac
 from ultrafrac import (
     DomainViolation,
-    GrowthKind,
     RadialFunction,
     RadialGrid,
     TailSpec,
     apply_dalpha,
     apply_ialpha,
-    check_growth_conditions,
     dalpha_oracle,
     diag_coeff,
-    fit_power_tails,
     qpow,
     theta,
 )
 from helpers import (
+    GrowthKind,
     bits,
+    check_growth_conditions,
     compact,
     constant_function,
     dalpha_by_shell,
+    fit_power_tails,
     indicator_unit_ball,
     random_compact,
 )
