@@ -22,7 +22,6 @@ from .errors import (
     MissingBeta,
     NoContraction,
     RangeExceeded,
-    ScalingViolation,
     ToleranceNotReached,
     UltrafracError,
 )
@@ -32,7 +31,6 @@ from .fracint import (
     bound_constant,
     front_coeff,
     ialpha_oracle,
-    is_log_branch,
     kernel_constant,
 )
 from .grid import (
@@ -45,7 +43,6 @@ from .grid import (
     check_growth_conditions,
     qpow,
     running_sums,
-    weighted_tail_sum,
 )
 from .solver import (
     MildSolution,

@@ -24,7 +24,6 @@ from .errors import (
     MissingBeta,
     NoContraction,
     RangeExceeded,
-    ScalingViolation,
     ToleranceNotReached,
     UltrafracError,
 )
@@ -34,6 +33,7 @@ from .grid import RadialFunction, RadialGrid, TailSpec, qpow
 from .solver import (
     _VERIFY_MARGIN,
     MildSolution,
+    ResidualReport,
     RhsSpec,
     continue_solution,
     mild_residuals,
@@ -190,6 +190,10 @@ def _solve_pipeline(cfg: RunConfig, command: str, extend_to: int) -> MildSolutio
     return continue_solution(sol, extend_to, tol=cfg.tol, max_iter=cfg.max_iter)
 
 
+def _failed_checks(report: ResidualReport) -> str:
+    return "; ".join(f"{c.name} fails: {c.detail}" for c in report.checks if not c.passed)
+
+
 def _report_window(cfg: RunConfig) -> tuple[int, int]:
     k_max = cfg.k_max if cfg.k_max is not None else cfg.N
     if cfg.k_min > k_max:
@@ -211,12 +215,15 @@ def _render(cfg: RunConfig, command: str) -> tuple[list[str], list[tuple]]:
         _require(cfg, command, "N", "k_min")
         k_lo, k_hi = _report_window(cfg)
         sol = _solve_pipeline(cfg, command, k_hi)
-        mild = mild_residuals(sol)
-        worst, shell = max((mild[k - sol.k_min], k) for k in range(k_lo, k_hi + 1))
+        report = mild_residuals(sol)
+        if not report.ok:
+            raise DeclarationViolated(_failed_checks(report))
+        mild = dict(report.residuals)
+        worst, shell = max((mild[k], k) for k in range(k_lo, k_hi + 1))
         if worst > cfg.tol:
             raise ToleranceNotReached(
                 f"mild residual {worst:.3g} at shell {shell} exceeds tol = {cfg.tol:g}")
-        rows = [(k, qpow(cfg.q, k), sol.value(k), mild[k - sol.k_min],
+        rows = [(k, qpow(cfg.q, k), sol.value(k), mild[k],
                  sol.iterations_at(k), sol.contraction_at(k))
                 for k in range(k_lo, k_hi + 1)]
         return ["k", "radius", "u", "mild_residual",
@@ -228,8 +235,7 @@ def _render(cfg: RunConfig, command: str) -> tuple[list[str], list[tuple]]:
         sol = _solve_pipeline(cfg, command, k_hi + _VERIFY_MARGIN)
         report = verify_strict(sol, (k_lo, k_hi))
         if not report.ok:
-            raise DeclarationViolated("; ".join(
-                f"{c.name} fails: {c.detail}" for c in report.checks if not c.passed))
+            raise DeclarationViolated(_failed_checks(report))
         res = dict(report.residuals)
         rows = [(k, qpow(cfg.q, k), sol.value(k), res[k])
                 for k in range(k_lo, k_hi + 1)]
@@ -285,7 +291,6 @@ _EXIT_TABLE: tuple[tuple[type, int], ...] = (
     (ContractionFailure, 7),
     (MissingBeta, 8),
     (MarginTooSmall, 8),
-    (ScalingViolation, 9),
     (RangeExceeded, 11),
     (DeclarationViolated, 12),
 )

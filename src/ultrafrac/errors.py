@@ -15,10 +15,6 @@ class DomainViolation(UltrafracError):
     """Input function violates the growth conditions an operator requires."""
 
 
-class ScalingViolation(UltrafracError):
-    """Internal homogeneity check on a kernel constant failed."""
-
-
 class NoContraction(UltrafracError):
     """Picard iteration failed to converge and the predicted factor is >= 1."""
 

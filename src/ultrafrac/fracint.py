@@ -2,12 +2,16 @@
 
 For a radial function the operator has the closed radial form
 
-    (I^a u)(q^n) = q^(-a) q^(a n) u(q^n)
-                 + front * sum_{j<n} (1-1/q) q^j K(n, j) u(q^j),
+    (I^a u)(q^n) = q^(a(n-1)) u(q^n) + (1 - 1/q) expm1(-a L) G(n),
+    G(n) = sum_{j<n} q^(a j) u(q^j) E(n - j),
 
-with kernel K(n, j) = q^((a-1)n) - q^((a-1)j) and front coefficient
-(1 - q^-a)/(1 - q^(a-1)) when a != 1, and K(n, j) = (n - j) ln q with
-front (1 - q)/(q ln q) on the log branch a = 1.  Only shells below n
+with L = ln q, rho = q^(a-1) and E(m) = (rho^m - 1)/(rho - 1).  This is
+the kernel front * (q^((a-1)n) - q^((a-1)j)) of the defining integral,
+with front = (1 - q^-a)/(1 - q^(a-1)), rewritten as
+expm1(-a L) q^((a-1)j) E(n - j).  E(m) -> m as a -> 1, where the kernel
+becomes the logarithmic one, so this one formula serves every alpha with
+no cancellation: :class:`KernelSum` runs G(n+1) = rho G(n) + S(n+1) beside
+the compensated sum S(n) = sum_{j<n} q^(a j) u(q^j).  Only shells below n
 contribute besides the diagonal, so local evaluation is meaningful; the
 value at the origin is 0 by construction.
 
@@ -27,23 +31,20 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import DomainViolation, ScalingViolation
+from .errors import DivergentTail, DomainViolation
 from .grid import (
     GrowthKind,
     RadialFunction,
     RadialGrid,
+    RunningSum,
     TailSpec,
     check_growth_conditions,
-    is_log_branch,
     qpow,
-    running_sums,
 )
 
 __all__ = [
-    "is_log_branch",
     "front_coeff",
-    "second_sum_weight",
-    "offdiag_integral",
+    "KernelSum",
     "apply_ialpha",
     "ialpha_oracle",
     "kernel_constant",
@@ -52,40 +53,57 @@ __all__ = [
 
 
 def front_coeff(alpha: float, q: int) -> float:
-    """Front coefficient of the integral kernel.
+    """Front coefficient (1 - q^-a)/(1 - q^(a-1)) of the integral kernel.
 
-    (1 - q^-a)/(1 - q^(a-1)) away from a = 1; the removable singularity at
-    a = 1 is routed to the log branch value (1 - q)/(q ln q).  Values of
-    alpha within 1e-12 of 1 take the log branch, since the generic formula
-    hits catastrophic cancellation there.
+    Formed as expm1(-a L)/expm1((a-1) L) with L = ln q, which keeps full
+    precision up to its pole at a = 1.  At a == 1 exactly the kernel is the
+    logarithmic one, (n - j) ln q, and its front (1 - q)/(q ln q) is
+    returned.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if is_log_branch(alpha):
-        return (1.0 - q) / (q * math.log(q))
-    return (1.0 - qpow(q, -alpha)) / (1.0 - qpow(q, alpha - 1.0))
+    lnq = math.log(q)
+    if alpha == 1.0:
+        return (1.0 - q) / (q * lnq)
+    return math.expm1(-alpha * lnq) / math.expm1((alpha - 1.0) * lnq)
 
 
-def second_sum_weight(alpha: float) -> tuple[float, int]:
-    """Weight exponent and index power of the kernel's second lower sum.
+class KernelSum:
+    """The off-diagonal part of the integral, (1 - 1/q) expm1(-a L) G(n),
+    extended one shell at a time.
 
-    The off-diagonal integral needs sum q^j u(q^j) and, besides it,
-    sum q^(a j) u(q^j), or sum j q^j u(q^j) on the log branch.
+    Starts at shell ``k_start`` with the lower tail c q^(e k) below it in
+    closed form: with x = q^-(a+e), S(k) = c q^((a+e)k) x/(1 - x) and
+    G(k) = S(k)/(1 - x rho), where x rho = q^-(1+e).  ``push`` adds the
+    value at the next shell: S takes one more compensated term and
+    G(k+1) = rho G(k) + S(k+1).  ``value`` is the off-diagonal part at the
+    next shell to be pushed.
     """
-    return (1.0, 1) if is_log_branch(alpha) else (alpha, 0)
 
+    __slots__ = ("_s", "_rho", "_lead", "_g")
 
-def offdiag_integral(alpha: float, q: int, front: float, n: int,
-                     s_plain: float, s_second: float) -> float:
-    """front * integral of K(n, j) u over |y| < q^n.
+    def __init__(self, tail: TailSpec, q: int, alpha: float, k_start: int) -> None:
+        lnq = math.log(q)
+        self._s = RunningSum(tail, q, alpha, k_start)
+        self._rho = qpow(q, alpha - 1.0)
+        self._lead = (1.0 - 1.0 / q) * math.expm1(-alpha * lnq)
+        self._g = 0.0
+        if not tail.is_null():
+            damp = -math.expm1(-(1.0 + tail.e) * lnq)  # 1 - x rho
+            if damp <= 0.0:
+                raise DivergentTail(
+                    f"lower tail sum diverges: ratio q^-(1+e) = {1.0 - damp!r} >= 1 "
+                    f"(tail exponent {tail.e:g})")
+            self._g = self._s.value / damp
 
-    ``s_plain`` and ``s_second`` are the two lower sums of u through shell
-    n - 1 (see :func:`second_sum_weight`); their tails are exact.
-    """
-    one = 1.0 - 1.0 / q
-    if is_log_branch(alpha):
-        return front * math.log(q) * one * (n * s_plain - s_second)
-    return front * one * (qpow(q, (alpha - 1.0) * n) * s_plain - s_second)
+    @property
+    def value(self) -> float:
+        return self._lead * self._g
+
+    def push(self, v: float) -> float:
+        """Add the value at the next shell; return the off-diagonal part above it."""
+        self._g = self._rho * self._g + self._s.push(v)
+        return self._lead * self._g
 
 
 def apply_ialpha(u: RadialFunction, alpha: float,
@@ -95,23 +113,30 @@ def apply_ialpha(u: RadialFunction, alpha: float,
     Requires lower-tail summability (the integral reads shells j <= n only,
     upper tails are irrelevant); raises :class:`DomainViolation` otherwise.
     The result has zero tails and value 0 at the origin.
+
+    At output shells up to k_min the off-diagonal part is the tail closed
+    form anchored there; above k_min one :class:`KernelSum` runs from k_min
+    up through the window, so each value is bit-identical to a run over its
+    own one-shell window.
     """
     report = check_growth_conditions(u, alpha, GrowthKind.IALPHA_DOMAIN)
     if not report.ok:
         raise DomainViolation(
             "input is outside the integral's domain:\n" + str(report))
-    q = u.grid.q
-    n_lo, n_hi = out_window if out_window is not None else (u.grid.k_min, u.grid.k_max)
+    q, k_min, tail = u.grid.q, u.grid.k_min, u.lower_tail
+    n_lo, n_hi = out_window if out_window is not None else (k_min, u.grid.k_max)
     if n_lo > n_hi:
         raise ValueError(f"empty output window [{n_lo}, {n_hi}]")
-    front = front_coeff(alpha, q)
-    w, p = second_sum_weight(alpha)
-    s_plain = running_sums(u, 1.0, "lower", n_lo - 1, n_hi - 1)
-    s_second = running_sums(u, w, "lower", n_lo - 1, n_hi - 1, p)
-    values = []
-    for n, sp, ss in zip(range(n_lo, n_hi + 1), s_plain, s_second):
-        diag = qpow(q, alpha * (n - 1)) * u.eval(n)
-        values.append(diag + offdiag_integral(alpha, q, front, n, sp, ss))
+    offdiag = [KernelSum(tail, q, alpha, n).value
+               for n in range(n_lo, min(n_hi, k_min) + 1)]
+    if n_hi > k_min:
+        run = KernelSum(tail, q, alpha, k_min)
+        for n in range(k_min + 1, n_hi + 1):
+            v = run.push(u.eval(n - 1))
+            if n >= n_lo:
+                offdiag.append(v)
+    values = [qpow(q, alpha * (n - 1)) * u.eval(n) + v
+              for n, v in zip(range(n_lo, n_hi + 1), offdiag)]
     return RadialFunction(RadialGrid(q, n_lo, n_hi), tuple(values), 0.0,
                           TailSpec.zero(), TailSpec.zero())
 
@@ -125,7 +150,8 @@ def ialpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:
     sphere |y| = q^n it varies with the stratum |x-y| = q^m, of measure
     (1-1/q)q^m for m < n and (1-2/q)q^n for m = n.  The stratified boundary
     sum has an exact geometric closed form, so the oracle is truncation
-    free.
+    free.  At a == 1 exactly it integrates the logarithmic kernel
+    log|x-y| - log|y| instead.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -137,7 +163,7 @@ def ialpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:
     front = front_coeff(alpha, q)
     un = u.eval(n)
     total = 0.0
-    if is_log_branch(alpha):
+    if alpha == 1.0:
         lnq = math.log(q)
         for j in range(k_min, min(n - 1, k_max) + 1):
             total += one * qpow(q, j) * (n - j) * lnq * u.values[j - k_min]
@@ -154,52 +180,35 @@ def ialpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:
     return front * total
 
 
-def _kernel_moment(alpha: float, m: int, q: int, n: int) -> float:
-    """I_{a,m}(q^n) as an exact geometric closed form."""
-    one = 1.0 - 1.0 / q
-    if is_log_branch(alpha):
-        y = qpow(q, -(1.0 + m))
-        return one * math.log(q) * qpow(q, (1.0 + m) * n) * y / (1.0 - y) ** 2
+def _moment_times_front(alpha: float, m: int, q: int) -> float:
+    """|front| * d_{a,m} in closed form:
 
-    def lower_geom(a: float) -> float:
-        # sum_{j <= n-1} q^(a j), a > 0
-        return qpow(q, a * (n - 1)) / (1.0 - qpow(q, -a))
+        (1 - 1/q) |expm1(-a L)| q^(-a(m+1)) / ((1 - q^-(1+a m)) (1 - q^-(a+a m))).
 
-    sgn = 1.0 if alpha > 1.0 else -1.0
-    return one * sgn * (qpow(q, (alpha - 1.0) * n) * lower_geom(1.0 + alpha * m)
-                        - lower_geom(alpha + alpha * m))
-
-
-def kernel_constant(alpha: float, m: int, grid: RadialGrid) -> float:
-    """d_{a,m}, with I_{a,m}(q^n) = d_{a,m} q^(a(m+1)n), checked for
-    homogeneity across two shells.
-
-    The moment is evaluated at n = 0 and at a second shell (7, or closer in
-    when q^(a(m+1)n) would overflow); the rescaled values must agree to
-    1e-10, otherwise a :class:`ScalingViolation` is raised (internal
-    consistency guard).
+    The kernel's two geometric series are combined before they are summed,
+    so nothing cancels at any alpha.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m}")
-    q = grid.q
     if qpow(q, -alpha) == 1.0:
         raise ValueError(f"alpha = {alpha!r} is too small: q^-alpha rounds to 1")
-    d0 = _kernel_moment(alpha, m, q, 0)
-    n2 = min(7, max(1, int(600.0 / (alpha * (m + 1) * math.log(q)))))
-    d2 = _kernel_moment(alpha, m, q, n2) / qpow(q, alpha * (m + 1) * n2)
-    scale = max(abs(d0), abs(d2))
-    if abs(d0 - d2) > 1e-10 * scale:
-        raise ScalingViolation(
-            f"kernel moment ratio violates q^(a(m+1)) scaling: "
-            f"d(n=0) = {d0!r}, d(n={n2}) = {d2!r}")
-    if d0 <= 0.0:
-        raise ScalingViolation(f"kernel constant must be positive, got {d0!r}")
-    return d0
+    lnq = math.log(q)
+    return ((1.0 - 1.0 / q) * -math.expm1(-alpha * lnq) * qpow(q, -alpha * (m + 1))
+            / (math.expm1(-(1.0 + alpha * m) * lnq) * math.expm1(-alpha * (m + 1) * lnq)))
 
 
-_BOUND_M_RANGE = 41  # m in [0, 40]; the uniform constant is estimated over this range
+def kernel_constant(alpha: float, m: int, grid: RadialGrid) -> float:
+    """d_{a,m}, with I_{a,m}(q^n) = d_{a,m} q^(a(m+1)n) for every n.
+
+    The closed form of |front| * d_{a,m} is homogeneous by construction;
+    d_{a,m} is that divided by |front|, so at a == 1 exactly it is the
+    moment of the logarithmic kernel.
+    """
+    return _moment_times_front(alpha, m, grid.q) / abs(front_coeff(alpha, grid.q))
+
+
 _BOUND_MARGIN = 1.1
 
 
@@ -208,11 +217,10 @@ def bound_constant(alpha: float, grid: RadialGrid) -> float:
     """Certified constant C with |(I^a phi)(q^n)| <= C * mu * q^(a(m+1)n)
     whenever |phi(q^j)| <= mu * q^(a m j), uniformly over m.
 
-    C = q^-a + |front| * A, where A estimates the uniform kernel bound as
-    the maximum of d_{a,m} q^(a m) over m <= 40 with a 10 percent margin.
+    C = q^-a + A with a 10 percent margin, where A is the uniform kernel
+    bound sup_m |front| d_{a,m} q^(a m).  Both factors of the closed
+    form's denominator grow with m, so the supremum is its m = 0 term.
     Drives the contraction factor predictions of the solver.
     """
     q = grid.q
-    a_hat = max(kernel_constant(alpha, m, grid) * qpow(q, alpha * m)
-                for m in range(_BOUND_M_RANGE))
-    return qpow(q, -alpha) + abs(front_coeff(alpha, q)) * _BOUND_MARGIN * a_hat
+    return qpow(q, -alpha) + _BOUND_MARGIN * _moment_times_front(alpha, 0, q)

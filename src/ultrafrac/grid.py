@@ -25,11 +25,9 @@ from .errors import DivergentTail, RangeExceeded
 
 __all__ = [
     "qpow",
-    "is_log_branch",
     "RadialGrid",
     "TailSpec",
     "RadialFunction",
-    "weighted_tail_sum",
     "RunningSum",
     "running_sums",
     "GrowthKind",
@@ -37,10 +35,6 @@ __all__ = [
     "ConditionReport",
     "check_growth_conditions",
 ]
-
-#: tolerance below which an exponent is routed to the alpha = 1 log branch
-LOG_BRANCH_TOL = 1e-12
-
 
 def qpow(q: float, x: float) -> float:
     """q**x computed as exp(x*ln q).
@@ -53,11 +47,6 @@ def qpow(q: float, x: float) -> float:
         return math.exp(x * math.log(q))
     except OverflowError:
         raise RangeExceeded(f"q^x overflows a float: q = {q}, x = {x!r}") from None
-
-
-def is_log_branch(alpha: float) -> bool:
-    """True when alpha is routed to the a = 1 logarithmic kernel."""
-    return abs(alpha - 1.0) <= LOG_BRANCH_TOL
 
 
 class _Kahan:
@@ -110,7 +99,7 @@ class TailSpec:
     closed under the weighted geometric sums every operator needs, so tail
     contributions are exact.  A weighted lower-tail sum with weight
     q**(w*k) converges iff w + e > 0, an upper one iff w + e < 0;
-    :func:`weighted_tail_sum` rejects the divergent combinations.
+    :func:`running_sums` rejects the divergent combinations.
     """
 
     c: float = 0.0
@@ -215,13 +204,12 @@ class RadialFunction:
                               shift(self.lower_tail), shift(self.upper_tail))
 
 
-def _index_factor(k: int, p: int) -> float:
-    return 1.0 if p == 0 else float(k)
+def _tail_series(tail: TailSpec, q: int, w: float, side: str, anchor: int) -> float:
+    """Exact sum of q**(w*k) * tail(k) over k <= anchor or k >= anchor.
 
-
-def _tail_series(tail: TailSpec, q: int, w: float, p: int,
-                 side: str, anchor: int) -> float:
-    """Exact sum of q**(w*k) * k**p * tail(k) over k <= anchor or k >= anchor."""
+    Raises :class:`DivergentTail` when the ratio of the series is >= 1,
+    i.e. when the convergence condition on the tail model fails.
+    """
     if tail.is_null():
         return 0.0
     r = w + tail.e
@@ -234,26 +222,7 @@ def _tail_series(tail: TailSpec, q: int, w: float, p: int,
         raise DivergentTail(
             f"{side} tail sum diverges: ratio {ratio} = {t!r} >= 1 "
             f"(weight {w:g}, tail exponent {tail.e:g})")
-    if p == 0:
-        return head / (1.0 - t)
-    return head * (anchor / (1.0 - t) + s * t / (1.0 - t) ** 2)
-
-
-def weighted_tail_sum(f: RadialFunction, w: float, side: str, k0: int,
-                      index_power: int = 0) -> float:
-    """Sum of q**(w*k) * f(q**k) over k <= k0 (lower) or k >= k0 (upper).
-
-    With ``index_power=1`` each term carries an extra factor k, which the
-    log-kernel branch of the integral operator needs.  The infinite region
-    outside the window is the exact geometric closed form, added first; the
-    explicit terms follow with compensated summation, walking from that
-    region toward k0: ascending for a lower sum, descending for an upper
-    one.  This is the one-shell case of :func:`running_sums`.
-
-    Raises :class:`DivergentTail` when the infinite region has ratio >= 1,
-    i.e. when the convergence condition on the tail model fails.
-    """
-    return running_sums(f, w, side, k0, k0, index_power)[0]
+    return head / (1.0 - t)
 
 
 def _step(side: str) -> int:
@@ -264,28 +233,23 @@ def _step(side: str) -> int:
 
 
 class RunningSum:
-    """Running one-sided sum of q**(w*k) * k**p * f(q**k), extended one shell at a time.
+    """Running one-sided sum of q**(w*k) * f(q**k), extended one shell at a time.
 
     A lower sum starts as the exact tail series over k <= k_start - 1 and
     ``push`` adds the values at shells k_start, k_start + 1, ...; an upper
     sum starts as the series over k >= k_start + 1 and ``push`` walks down
-    through k_start, k_start - 1, ...  After the values of k_start through
-    k0 are pushed, ``value`` equals :func:`weighted_tail_sum` at k0 of a
-    function whose window edge on the tail's side is k_start, bit for bit:
-    both add the same tail anchor first and then the same terms in the same
-    compensated order.
+    through k_start, k_start - 1, ...  The explicit terms are added with
+    compensated summation, in the order they are pushed.
     """
 
-    __slots__ = ("_q", "_w", "_p", "_k", "_step", "_acc")
+    __slots__ = ("_q", "_w", "_k", "_step", "_acc")
 
     def __init__(self, tail: TailSpec, q: int, w: float, k_start: int,
-                 index_power: int = 0, side: str = "lower") -> None:
-        if index_power not in (0, 1):
-            raise ValueError("index_power must be 0 or 1")
+                 side: str = "lower") -> None:
         step = _step(side)
-        self._q, self._w, self._p, self._k, self._step = q, w, index_power, k_start, step
+        self._q, self._w, self._k, self._step = q, w, k_start, step
         self._acc = _Kahan()
-        self._acc.add(_tail_series(tail, q, w, index_power, side, k_start - step))
+        self._acc.add(_tail_series(tail, q, w, side, k_start - step))
 
     @property
     def value(self) -> float:
@@ -294,23 +258,28 @@ class RunningSum:
     def push(self, v: float) -> float:
         """Add the value at the next shell; return the sum through that shell."""
         k = self._k
-        self._acc.add(qpow(self._q, self._w * k) * _index_factor(k, self._p) * v)
+        self._acc.add(qpow(self._q, self._w * k) * v)
         self._k = k + self._step
         return self._acc.s
 
 
-def running_sums(f: RadialFunction, w: float, side: str, k_lo: int, k_hi: int,
-                 index_power: int = 0) -> list[float]:
-    """``weighted_tail_sum(f, w, side, k0, index_power)`` for every k0 in
-    [k_lo, k_hi], in one pass, listed in ascending k0.
+def running_sums(f: RadialFunction, w: float, side: str, k_lo: int, k_hi: int) -> list[float]:
+    """The sum of q**(w*k) * f(q**k) over k <= k0 (lower) or k >= k0
+    (upper) for every k0 in [k_lo, k_hi], in one pass, listed in ascending k0.
 
     Let the edge be the window shell next to the summed tail: k_min for a
-    lower sum, k_max for an upper one.  From k0 one shell outside the edge
-    inward, the per-shell sums share the tail anchor there and differ only
-    in how many terms follow it, so one :class:`RunningSum` yields all of
-    them bit for bit, with one term per shell from the edge to the far end
-    of [k_lo, k_hi].  Further out, the sum is the tail closed form anchored
-    at k0 alone, the value of a fresh run.
+    lower sum, k_max for an upper one.  Each sum adds the exact closed form
+    of the tail region beyond the edge first and then the explicit terms,
+    walking from the edge toward k0.  From k0 one shell outside the edge
+    inward, the per-shell sums share that tail anchor and differ only in
+    how many terms follow it, so one :class:`RunningSum` yields all of them,
+    with one term per shell from the edge to the far end of [k_lo, k_hi].
+    Further out, the sum is the tail closed form anchored at k0 alone, the
+    value of a fresh run.  Either way each sum is bit-identical to a run of
+    its own, ``running_sums(f, w, side, k0, k0)``.
+
+    Raises :class:`DivergentTail` when the tail region's series has ratio
+    >= 1, i.e. when the convergence condition on the tail model fails.
     """
     step = _step(side)
     q = f.grid.q
@@ -318,10 +287,10 @@ def running_sums(f: RadialFunction, w: float, side: str, k_lo: int, k_hi: int,
     # walk x = step * k upward: an upper sum is a lower sum of the reflection
     x_lo, x_hi = (k_lo, k_hi) if step == 1 else (-k_hi, -k_lo)
     x_edge = step * edge
-    out = [RunningSum(tail, q, w, step * (x + 1), index_power, side).value
+    out = [RunningSum(tail, q, w, step * (x + 1), side).value
            for x in range(x_lo, min(x_hi + 1, x_edge - 1))]
     if x_hi >= x_edge - 1:
-        run = RunningSum(tail, q, w, edge, index_power, side)
+        run = RunningSum(tail, q, w, edge, side)
         if x_lo <= x_edge - 1:
             out.append(run.value)
         for x in range(x_edge, x_hi + 1):
@@ -387,7 +356,7 @@ def check_growth_conditions(f: RadialFunction, alpha: float,
     DALPHA_DOMAIN: existence of the fractional derivative (lower shells
     summable with weight q**k, upper with q**(-alpha*l)).  IALPHA_DOMAIN:
     existence of the regularized integral (lower weight max(q**k, q**(a*k)),
-    or |k| q**k on the log branch).
+    for every alpha).
 
     Report-valued: never raises for failing conditions.
     """
@@ -400,12 +369,8 @@ def check_growth_conditions(f: RadialFunction, alpha: float,
         entries.append(_series_entry("lower sum q^k |u|", lo, 1.0, "lower"))
         entries.append(_series_entry("upper sum q^(-a l) |u|", up, -alpha, "upper"))
     elif kind is GrowthKind.IALPHA_DOMAIN:
-        if is_log_branch(alpha):
-            entries.append(_series_entry("lower sum |k| q^k |u|", lo, 1.0, "lower"))
-        else:
-            w = min(1.0, alpha)
-            entries.append(_series_entry(
-                "lower sum max(q^k, q^(a k)) |u|", lo, w, "lower"))
+        entries.append(_series_entry(
+            "lower sum max(q^k, q^(a k)) |u|", lo, min(1.0, alpha), "lower"))
     else:
         raise ValueError(f"unknown growth kind {kind}")
     return ConditionReport(kind.value, tuple(entries))

@@ -37,22 +37,8 @@ from .errors import (
     ToleranceNotReached,
 )
 from .expr import make_callable, parse_expression
-from .fracint import (
-    apply_ialpha,
-    bound_constant,
-    front_coeff,
-    is_log_branch,
-    offdiag_integral,
-    second_sum_weight,
-)
-from .grid import (
-    ConditionEntry,
-    RadialFunction,
-    RadialGrid,
-    RunningSum,
-    TailSpec,
-    qpow,
-)
+from .fracint import KernelSum, apply_ialpha, bound_constant
+from .grid import ConditionEntry, RadialFunction, RadialGrid, TailSpec, qpow
 from .vladimirov import apply_dalpha, fit_upper_tail
 
 __all__ = [
@@ -169,7 +155,8 @@ class MildSolution:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Pointwise residuals |(D^a u)(q^n) - f(q^n, u(q^n))| plus checks."""
+    """Pointwise residuals on a window, as (shell, residual) pairs, plus
+    the checks of the declared constants made along the way."""
 
     window: tuple[int, int]
     residuals: tuple[tuple[int, float], ...]
@@ -195,18 +182,21 @@ def _phi_function(q: int, k_min: int, values: Sequence[float],
 def _truncation_bound(alpha: float, q: int, misfit: float,
                       k0: int, n_hi: int) -> float:
     """Certified bound on the integral's response, at any shell in
-    [k0, n_hi], to an error of at most ``misfit`` on every shell below k0."""
-    one = 1.0 - 1.0 / q
-    front_abs = abs(front_coeff(alpha, q))
-    if is_log_branch(alpha):
-        g0 = qpow(q, k0) / (q - 1.0)
-        y = 1.0 / q
-        g1 = qpow(q, k0 - 1.0) * ((k0 - 1) / (1.0 - y) - y / (1.0 - y) ** 2)
-        return misfit * front_abs * one * math.log(q) * (n_hi * g0 - g1)
-    n_star = n_hi if alpha >= 1.0 else k0
-    term1 = qpow(q, (alpha - 1.0) * n_star + k0 - 1.0)
-    term2 = one * qpow(q, alpha * (k0 - 1.0)) / (1.0 - qpow(q, -alpha))
-    return misfit * front_abs * (term1 + term2)
+    [k0, n_hi], to an error of at most ``misfit`` on every shell below k0.
+
+    The exact supremum, reached at n_hi because E grows with its argument:
+    misfit q^(a k0) (q^-a + |expm1(-a L)| E(n_hi - k0)/q).  It is formed as
+    E(d) = q^(max(a-1, 0)(d-1)) * sum_{i<d} q^(-|a-1| i), a power of q that
+    joins the cutoff's factor and a bounded series, so no factor overflows
+    before the bound does; E(d) = d at a == 1 exactly.
+    """
+    lnq = math.log(q)
+    d = n_hi - k0
+    s = -abs(alpha - 1.0) * lnq
+    series = float(d) if alpha == 1.0 else math.expm1(d * s) / math.expm1(s)
+    power = qpow(q, alpha * k0 - 1.0 + max(alpha - 1.0, 0.0) * (d - 1))
+    return misfit * (qpow(q, alpha * (k0 - 1.0))
+                     - math.expm1(-alpha * lnq) * series * power)
 
 
 def _certified_depth(alpha: float, q: int, M: float, tol: float, N: int) -> int:
@@ -216,8 +206,9 @@ def _certified_depth(alpha: float, q: int, M: float, tol: float, N: int) -> int:
     target = tol / 10.0
     while _truncation_bound(alpha, q, 2.0 * M, k0, N) > target:
         k0 -= 1
-        # the first Picard map's kernel factor at the cutoff: past the float
-        # range it raises RangeExceeded here, before any window is allocated
+        # the kernel |y|^(a-1) at the cutoff radius: past the float range it
+        # raises RangeExceeded here, before any window is allocated, which
+        # also bounds this loop for a tiny alpha
         qpow(q, (alpha - 1.0) * k0)
     return k0
 
@@ -284,11 +275,15 @@ def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
                         rho, envelope_ok)
 
 
-def mild_residuals(sol: MildSolution) -> tuple[float, ...]:
-    """|u - (u0 + I^a f(., u))| per solved shell: one extra Picard map."""
+def mild_residuals(sol: MildSolution) -> ResidualReport:
+    """|u - (u0 + I^a f(., u))| on every solved shell, one extra Picard map,
+    with the uniform bound M checked on the same values of f."""
     phi = _phi_function(sol.q, sol.k_min, sol.values, sol.rhs)
     integ = apply_ialpha(phi, sol.alpha, (sol.k_min, sol.frontier))
-    return tuple(abs(u - (sol.u0 + w)) for u, w in zip(sol.values, integ.values))
+    residuals = tuple((k, abs(u - (sol.u0 + w)))
+                      for k, u, w in zip(sol.grid.shells, sol.values, integ.values))
+    return ResidualReport((sol.k_min, sol.frontier), residuals,
+                          (_bound_entry(phi, sol.rhs.M),))
 
 
 def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
@@ -300,10 +295,10 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
     q^(a l) * F_(l+1) is recorded.  Raises :class:`ContractionFailure` at
     the first shell whose iteration diverges or stalls.
 
-    v0 reads f(., u) through two lower sums over the solved shells, with
-    the constant lower tail of the Picard stage.  They are kept running
-    across steps, so each new shell costs one more evaluation of f and one
-    more term per sum.
+    v0 reads f(., u) over the solved shells, with the constant lower tail
+    of the Picard stage, through one :class:`~ultrafrac.fracint.KernelSum`
+    kept running across steps, so each new shell costs one more evaluation
+    of f and one more step of the sum.
     """
     if k_max <= sol.frontier:
         return sol
@@ -311,16 +306,12 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
     values = list(sol.values)
     fp_iters = dict(sol.fp_iterations)
     factors = dict(sol.contraction_factors)
-    front = front_coeff(alpha, q)
     phi = _phi_function(q, sol.k_min, values, rhs)
-    w, p = second_sum_weight(alpha)
-    plain = RunningSum(phi.lower_tail, q, 1.0, sol.k_min)
-    second = RunningSum(phi.lower_tail, q, w, sol.k_min, p)
+    run = KernelSum(phi.lower_tail, q, alpha, sol.k_min)
     for v in phi.values:
-        plain.push(v)
-        second.push(v)
+        run.push(v)
     for l in range(sol.frontier, k_max):
-        v0 = offdiag_integral(alpha, q, front, l + 1, plain.value, second.value)
+        v0 = run.value
         gain = qpow(q, alpha * l)
         r_next = qpow(q, l + 1)
         F_next = rhs.F_l(l + 1) if rhs.F_l is not None else rhs.F
@@ -349,9 +340,7 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
         fp_iters[l + 1] = its
         factors[l + 1] = factor
         if l + 1 < k_max:
-            phi_next = rhs.f(r_next, x)
-            plain.push(phi_next)
-            second.push(phi_next)
+            run.push(rhs.f(r_next, x))
     return replace(sol, grid=RadialGrid(q, sol.k_min, k_max), values=tuple(values),
                    fp_iterations=fp_iters, contraction_factors=factors)
 
@@ -434,10 +423,7 @@ def _declared_constant_checks(work: MildSolution) -> list[ConditionEntry]:
     """
     q, rhs = work.q, work.rhs
     phi = _phi_function(q, work.k_min, work.values, rhs)
-    peak, shell = max((abs(v), k) for k, v in enumerate(phi.values, work.k_min))
-    entries = [ConditionEntry(
-        "uniform bound M", peak <= rhs.M * (1.0 + 1e-9),
-        f"max |f(q^k, u_k)| = {peak:.6g} at shell {shell}; declared M = {rhs.M:g}")]
+    entries = [_bound_entry(phi, rhs.M)]
     if rhs.beta is None:
         return entries
     far_shell = _far_overflow_shell(phi, q, rhs.beta, work.frontier)
@@ -447,6 +433,15 @@ def _declared_constant_checks(work: MildSolution) -> list[ConditionEntry]:
         "decay constant", far_shell is None,
         f"max |f(q^l, u_l)| q^(b l) over shells 1..{work.frontier} {verdict}"))
     return entries
+
+
+def _bound_entry(phi: RadialFunction, M: float) -> ConditionEntry:
+    """The uniform bound M against the window values of phi = f(., u),
+    with the relative slack 1e-9; the entry names the shell of the maximum."""
+    peak, shell = max((abs(v), k) for k, v in enumerate(phi.values, phi.grid.k_min))
+    return ConditionEntry(
+        "uniform bound M", peak <= M * (1.0 + 1e-9),
+        f"max |f(q^k, u_k)| = {peak:.6g} at shell {shell}; declared M = {M:g}")
 
 
 def _far_overflow_shell(phi: RadialFunction, q: int, beta: float,

@@ -19,17 +19,15 @@ from ultrafrac import (
     apply_ialpha,
     diag_coeff,
     fit_upper_tail,
-    front_coeff,
-    is_log_branch,
     qpow,
+    running_sums,
     theta,
-    weighted_tail_sum,
 )
 from ultrafrac.errors import ExprEvalError
 from ultrafrac.expr import _IMPL, BinOp, Call, Neg, Num, Var, _finite, _power
-from ultrafrac.fracint import offdiag_integral, second_sum_weight
+from ultrafrac.fracint import KernelSum
 from ultrafrac.grid import GrowthKind as SrcGrowthKind
-from ultrafrac.grid import LOG_BRANCH_TOL, _index_factor, _Kahan, _series_entry, _tail_series
+from ultrafrac.grid import _Kahan, _series_entry, _tail_series
 from ultrafrac.grid import check_growth_conditions as grid_conditions
 from ultrafrac.solver import _phi_function
 from ultrafrac.vladimirov import _scaled_lower
@@ -41,6 +39,12 @@ UPPER_PAD = 45
 def bits(values) -> bytes:
     """The exact bytes of a float sequence: equal iff bit-identical, sign of zero included."""
     return struct.pack(f"<{len(values)}d", *values)
+
+
+def weighted_tail_sum(f: RadialFunction, w: float, side: str, k0: int) -> float:
+    """Sum of q**(w*k) * f(q**k) over k <= k0 (lower) or k >= k0 (upper):
+    the one-shell case of ``running_sums``."""
+    return running_sums(f, w, side, k0, k0)[0]
 
 
 def compact(q: int, k_min: int, values) -> RadialFunction:
@@ -102,8 +106,7 @@ def integral_of_derivative(u: RadialFunction, alpha: float,
     return apply_ialpha(w, alpha, window)
 
 
-def ascending_upper_sum(f: RadialFunction, w: float, k0: int,
-                        index_power: int = 0) -> tuple[float, float]:
+def ascending_upper_sum(f: RadialFunction, w: float, k0: int) -> tuple[float, float]:
     """The upper ``weighted_tail_sum`` in its former ascending order.
 
     The terms at shells k0, k0 + 1, ... up to k_max (lower-tail values below
@@ -112,9 +115,8 @@ def ascending_upper_sum(f: RadialFunction, w: float, k0: int,
     the sum and the sum of the absolute values of what was added.
     """
     q, k_max = f.grid.q, f.grid.k_max
-    terms = [qpow(q, w * k) * _index_factor(k, index_power) * f.eval(k)
-             for k in range(k0, k_max + 1)]
-    terms.append(_tail_series(f.upper_tail, q, w, index_power, "upper", max(k0, k_max + 1)))
+    terms = [qpow(q, w * k) * f.eval(k) for k in range(k0, k_max + 1)]
+    terms.append(_tail_series(f.upper_tail, q, w, "upper", max(k0, k_max + 1)))
     acc = _Kahan()
     for t in terms:
         acc.add(t)
@@ -154,19 +156,24 @@ def catalog_rhs(q: int = 2, alpha: float = 0.5):
     return RhsSpec(f, M=0.1, F=0.1, F_l=F_l, beta=alpha + 1.0)
 
 
+def _offdiag_at(phi: RadialFunction, alpha: float, n: int) -> float:
+    """The off-diagonal part of the integral of ``phi`` at shell n > k_min,
+    from a ``KernelSum`` of its own run from k_min."""
+    run = KernelSum(phi.lower_tail, phi.grid.q, alpha, phi.grid.k_min)
+    for k in range(phi.grid.k_min, n):
+        run.push(phi.eval(k))
+    return run.value
+
+
 def v0_at(sol, rhs, alpha: float, N: int) -> float:
     """The known constant v0 of the one-shell continuation equation at N + 1.
 
     The integral over the solved ball |y| <= q^N of the kernel difference
     against f(., u), with the constant lower tail of the Picard stage, taken
-    at one shell: ``continue_solution`` keeps the same two sums running.
+    at one shell: ``continue_solution`` keeps the same sum running.
     """
-    q = sol.q
-    phi = _phi_function(q, sol.k_min, sol.values[: N - sol.k_min + 1], rhs)
-    w, p = second_sum_weight(alpha)
-    return offdiag_integral(alpha, q, front_coeff(alpha, q), N + 1,
-                            weighted_tail_sum(phi, 1.0, "lower", N),
-                            weighted_tail_sum(phi, w, "lower", N, p))
+    phi = _phi_function(sol.q, sol.k_min, sol.values[: N - sol.k_min + 1], rhs)
+    return _offdiag_at(phi, alpha, N + 1)
 
 
 def continue_by_rebuild(sol, rhs, alpha: float, k_max: int, tol: float = 1e-12,
@@ -174,22 +181,18 @@ def continue_by_rebuild(sol, rhs, alpha: float, k_max: int, tol: float = 1e-12,
     """Shell continuation that rebuilds f(., u) and rescans it at every step.
 
     The per-step reference for the incremental ``continue_solution``: v0 at
-    each new shell comes from one ``weighted_tail_sum`` pair over all solved
+    each new shell comes from a ``KernelSum`` run of its own over all solved
     shells, with the constant lower tail model of the Picard stage.  Returns
     the solution values and the fixed-point iteration counts.
     """
     q, k_min, u0 = sol.q, sol.k_min, sol.u0
-    front = front_coeff(alpha, q)
-    w, p = second_sum_weight(alpha)
     values = list(sol.values)
     iters = {}
     for l in range(sol.frontier, k_max):
         phi_vals = [rhs.f(qpow(q, k), values[k - k_min]) for k in range(k_min, l + 1)]
         phi = RadialFunction.from_values(q, k_min, phi_vals,
                                          lower_tail=TailSpec.constant(phi_vals[0]))
-        v0 = offdiag_integral(alpha, q, front, l + 1,
-                              weighted_tail_sum(phi, 1.0, "lower", l),
-                              weighted_tail_sum(phi, w, "lower", l, p))
+        v0 = _offdiag_at(phi, alpha, l + 1)
         gain = qpow(q, alpha * l)
         r_next = qpow(q, l + 1)
         x = values[-1]
@@ -245,8 +248,7 @@ def check_growth_conditions(f: RadialFunction, alpha: float,
         return grid_conditions(f, alpha, SrcGrowthKind[kind.name])
     if kind is GrowthKind.RIGHT_INVERSE:
         domain = grid_conditions(f, alpha, SrcGrowthKind.IALPHA_DOMAIN)
-        name = "upper sum l |u|" if is_log_branch(alpha) else "upper sum |u|"
-        entries = domain.entries + (_series_entry(name, f.upper_tail, 0.0, "upper"),)
+        entries = domain.entries + (_series_entry("upper sum |u|", f.upper_tail, 0.0, "upper"),)
         return ConditionReport(kind.value, entries)
     lo, up = f.lower_tail, f.upper_tail
     entries = [ConditionEntry(
@@ -264,8 +266,8 @@ def check_growth_conditions(f: RadialFunction, alpha: float,
         entries.append(ConditionEntry("upper growth exponent", True, "tail vanishes"))
     else:
         h = max(0.0, up.e)
-        ok = h < alpha and (alpha <= 1.0 + LOG_BRANCH_TOL or h < alpha - 1.0)
-        need = f"h < {alpha:g}" if alpha <= 1.0 + LOG_BRANCH_TOL \
+        ok = h < alpha and (alpha <= 1.0 or h < alpha - 1.0)
+        need = f"h < {alpha:g}" if alpha <= 1.0 \
             else f"h < {alpha:g} and h < {alpha - 1.0:g}"
         entries.append(ConditionEntry(
             "upper growth exponent", ok,

@@ -7,9 +7,9 @@ at runtime.
 
 from __future__ import annotations
 
-import math
 import random
 import time
+from decimal import Decimal
 from pathlib import Path
 
 from ultrafrac import (
@@ -30,7 +30,7 @@ from ultrafrac import (
     verify_strict,
 )
 from ultrafrac.cli import main as cli_main
-from ultrafrac.fracint import _kernel_moment
+import reference
 from helpers import (
     catalog_rhs,
     constant_function,
@@ -157,6 +157,8 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_kernel_constants():
+    # homogeneity: d q^(a(m+1)n) against the decimal reference's moment
+    # summed at shells n = 4 and 5 themselves
     t0 = time.time()
     worst_ratio = 0.0
     decay_ok = True
@@ -167,11 +169,10 @@ def test_criterion_5_kernel_constants():
             for m in range(41):
                 d = kernel_constant(alpha, m, grid)
                 scaled.append(d * qpow(q, alpha * m))
-                if alpha * (m + 1) * math.log(q) < 500.0:
-                    ratio = (_kernel_moment(alpha, m, q, 5)
-                             / _kernel_moment(alpha, m, q, 4))
-                    worst_ratio = max(worst_ratio, abs(
-                        ratio / qpow(q, alpha * (m + 1)) - 1.0))
+                for n in (4, 5):
+                    moment = reference.kernel_moment(alpha, m, q, n)
+                    ratio = reference.power(q, alpha, (m + 1) * n) * Decimal(d) / moment
+                    worst_ratio = max(worst_ratio, float(abs(ratio - 1)))
             if any(v > 1.1 * max(scaled[:6]) for v in scaled):
                 decay_ok = False
     ok = worst_ratio <= 1e-10 and decay_ok
@@ -221,7 +222,7 @@ def test_criterion_7_continuation():
     sol = picard_solve(rhs, u0, alpha, q, N, tol=1e-12, max_iter=60)
     ext = continue_solution(sol, 8, tol=1e-12, max_iter=60)
     factors = max(ext.contraction_factors.values())
-    mild = max(mild_residuals(ext))
+    mild = mild_residuals(ext).max_residual
     c = 0.07
     rhs_c = RhsSpec(lambda r, x: c, M=c, F=1e-12)
     sol_c = picard_solve(rhs_c, u0, alpha, q, N, tol=1e-13, max_iter=5)

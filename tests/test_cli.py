@@ -412,6 +412,36 @@ def test_verify_exits_12_when_a_declared_constant_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_exits_12_when_M_is_understated(tmp_path, capsys):
+    # the Picard cutoff is sized from M, so solve checks it too
+    out = tmp_path / "s.csv"
+    assert main(["solve", "--config", str(DATA / "understated_m.cfg"),
+                 "--out", str(out)]) == 12
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error[DeclarationViolated]: uniform bound M fails: ")
+    assert "at shell 0; declared M = 0.001" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1.0001", "1.000000001"])
+def test_catalog_solve_next_to_alpha_one(tmp_path, capsys, alpha):
+    # one kernel for every alpha: no kernel-constant failure next to 1, and
+    # the solution moves with alpha by no more than |alpha - 1|
+    text = (DATA / "catalog_solve.cfg").read_text(encoding="utf-8")
+    rows = {}
+    for a in ("1", alpha):
+        cfg = write_cfg(tmp_path, text.replace("alpha = 0.5", f"alpha = {a}"))
+        out = tmp_path / f"a{a}.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        rows[a] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert capsys.readouterr().err == ""
+    assert len(rows[alpha]) == 8
+    for near, at_one in zip(rows[alpha], rows["1"]):
+        assert float(near[3]) <= 1e-9
+        assert abs(float(near[2]) - float(at_one[2])) <= abs(float(alpha) - 1.0)
+
+
 def test_nonpositive_constants_are_config_errors(tmp_path, capsys):
     for line in ("M = 0", "M = -1", "F = 0"):
         key = line.split()[0]

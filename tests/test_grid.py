@@ -18,7 +18,6 @@ from ultrafrac import (
     TailSpec,
     qpow,
     running_sums,
-    weighted_tail_sum,
 )
 from helpers import (
     GrowthKind,
@@ -29,6 +28,7 @@ from helpers import (
     constant_function,
     indicator_unit_ball,
     shell_measure,
+    weighted_tail_sum,
 )
 
 
@@ -164,19 +164,6 @@ def test_weighted_tail_sum_crossing_regions():
     assert got_up == pytest.approx(want_up, rel=1e-13)
 
 
-def test_weighted_tail_sum_with_index_factor():
-    f = RadialFunction.from_values(
-        2, 0, [1.0, 1.0], upper_tail=TailSpec.constant(1.0), value_at_zero=1.0)
-    got = weighted_tail_sum(f, -1.0, "upper", 3, index_power=1)
-    brute = sum(k * 2.0 ** -k for k in range(3, 400))
-    assert got == pytest.approx(brute, rel=1e-12)
-    g = RadialFunction.from_values(
-        2, 0, [1.0, 1.0], lower_tail=TailSpec.constant(1.0), value_at_zero=1.0)
-    got_lo = weighted_tail_sum(g, 1.0, "lower", -2, index_power=1)
-    brute_lo = sum(k * 2.0 ** k for k in range(-400, -1))
-    assert got_lo == pytest.approx(brute_lo, rel=1e-12)
-
-
 @settings(max_examples=60, deadline=None)
 @given(q=st.sampled_from([2, 3, 5]),
        w=st.floats(-2.0, 2.0),
@@ -218,14 +205,13 @@ _TAIL_KINDS = st.sampled_from(["zero", "constant", "power"])
 @settings(max_examples=300, deadline=None)
 @given(q=st.sampled_from([2, 3, 5, 7]),
        w=st.sampled_from([1.0, 0.3, 0.5, 1.7, 2.5, 0.05]),
-       p=st.sampled_from([0, 1]),
        lower=_TAIL_KINDS, upper=_TAIL_KINDS,
        c=st.floats(-3.0, 3.0), e_lo=st.floats(-1.0, 2.0), e_up=st.floats(-3.0, 1.0),
        values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
        k_min=st.integers(-8, 5),
        where=st.sampled_from(["below", "across", "above"]),
        offset=st.integers(0, 6), span=st.integers(0, 15))
-def test_lower_sums_match_per_shell_bitwise(q, w, p, lower, upper, c, e_lo, e_up,
+def test_lower_sums_match_per_shell_bitwise(q, w, lower, upper, c, e_lo, e_up,
                                             values, k_min, where, offset, span):
     # the one-pass engine against one weighted_tail_sum call per shell: same
     # bits (sign of zero included), or the same DivergentTail
@@ -238,13 +224,13 @@ def test_lower_sums_match_per_shell_bitwise(q, w, p, lower, upper, c, e_lo, e_up
             "above": k_max + 1 + offset}[where]
     k_hi = k_lo + span if where != "across" else k_max + offset + span
     try:
-        want = [weighted_tail_sum(f, w, "lower", k0, p) for k0 in range(k_lo, k_hi + 1)]
+        want = [weighted_tail_sum(f, w, "lower", k0) for k0 in range(k_lo, k_hi + 1)]
     except DivergentTail as exc:
         with pytest.raises(DivergentTail) as got:
-            running_sums(f, w, "lower", k_lo, k_hi, p)
+            running_sums(f, w, "lower", k_lo, k_hi)
         assert str(got.value) == str(exc)
         return
-    assert bits(running_sums(f, w, "lower", k_lo, k_hi, p)) == bits(want)
+    assert bits(running_sums(f, w, "lower", k_lo, k_hi)) == bits(want)
 
 
 @pytest.mark.parametrize("k_lo,k_hi", [(-9, -6), (-9, 4), (-1, 6), (3, 8)])
@@ -258,7 +244,6 @@ def test_lower_sums_divergent_tail_in_every_region(k_lo, k_hi):
 _UPPER_CASE = dict(
     q=st.sampled_from([2, 3, 5, 7]),
     w=st.sampled_from([-1.0, -0.3, -0.5, -1.7, -2.5, -0.05]),
-    p=st.sampled_from([0, 1]),
     lower=_TAIL_KINDS, upper=_TAIL_KINDS,
     c=st.floats(-3.0, 3.0), e_lo=st.floats(-1.0, 3.0), e_up=st.floats(-2.0, 1.0),
     values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
@@ -283,25 +268,25 @@ def _upper_case(q, lower, upper, c, e_lo, e_up, values, k_min, where, offset, sp
 
 @settings(max_examples=300, deadline=None)
 @given(**_UPPER_CASE)
-def test_upper_sums_match_per_shell_bitwise(q, w, p, lower, upper, c, e_lo, e_up,
+def test_upper_sums_match_per_shell_bitwise(q, w, lower, upper, c, e_lo, e_up,
                                             values, k_min, where, offset, span):
     # the descending pass against one weighted_tail_sum call per shell: same
     # bits (sign of zero included), or the same DivergentTail
     f, k_lo, k_hi = _upper_case(q, lower, upper, c, e_lo, e_up, values, k_min,
                                 where, offset, span)
     try:
-        want = [weighted_tail_sum(f, w, "upper", k0, p) for k0 in range(k_lo, k_hi + 1)]
+        want = [weighted_tail_sum(f, w, "upper", k0) for k0 in range(k_lo, k_hi + 1)]
     except DivergentTail as exc:
         with pytest.raises(DivergentTail) as got:
-            running_sums(f, w, "upper", k_lo, k_hi, p)
+            running_sums(f, w, "upper", k_lo, k_hi)
         assert str(got.value) == str(exc)
         return
-    assert bits(running_sums(f, w, "upper", k_lo, k_hi, p)) == bits(want)
+    assert bits(running_sums(f, w, "upper", k_lo, k_hi)) == bits(want)
 
 
 @settings(max_examples=300, deadline=None)
 @given(**_UPPER_CASE)
-def test_upper_sums_stay_near_the_ascending_order(q, w, p, lower, upper, c, e_lo, e_up,
+def test_upper_sums_stay_near_the_ascending_order(q, w, lower, upper, c, e_lo, e_up,
                                                   values, k_min, where, offset, span):
     # the summation order of the upper sums changed from ascending to
     # descending: each sum stays within 4 eps * sum |terms| of the old one,
@@ -309,13 +294,13 @@ def test_upper_sums_stay_near_the_ascending_order(q, w, p, lower, upper, c, e_lo
     f, k_lo, k_hi = _upper_case(q, lower, upper, c, e_lo, e_up, values, k_min,
                                 where, offset, span)
     try:
-        want = [ascending_upper_sum(f, w, k0, p) for k0 in range(k_lo, k_hi + 1)]
+        want = [ascending_upper_sum(f, w, k0) for k0 in range(k_lo, k_hi + 1)]
     except DivergentTail as exc:
         with pytest.raises(DivergentTail) as got:
-            running_sums(f, w, "upper", k_lo, k_hi, p)
+            running_sums(f, w, "upper", k_lo, k_hi)
         assert str(got.value) == str(exc)
         return
-    for got, (ref, size) in zip(running_sums(f, w, "upper", k_lo, k_hi, p), want):
+    for got, (ref, size) in zip(running_sums(f, w, "upper", k_lo, k_hi), want):
         assert abs(got - ref) <= 4.0 * sys.float_info.epsilon * size
 
 
@@ -329,8 +314,9 @@ def test_tail_layer_keeps_its_bits():
     # sha256 per side of weighted_tail_sum and running_sums, eval outside
     # the window going with the lower side, over every pair of tail models,
     # or of the error text where a tail sum diverges: the tail model's form
-    # must not move a single bit.  The lower digest dates from before the
-    # upper sums ran descending, and that change left it as it was.
+    # must not move a single bit.  The digests date from before the
+    # integral's kernel sums left this layer (which took the k-weighted
+    # sums with them); the cases left kept every bit.
     digests = {"lower": hashlib.sha256(), "upper": hashlib.sha256()}
     counts = {"lower": 0, "upper": 0}
 
@@ -351,16 +337,15 @@ def test_tail_layer_keeps_its_bits():
                 f = RadialFunction(RadialGrid(q, -3, 4), values, 0.0, lower, upper)
                 record("lower", lambda: [f.eval(k) for k in range(-9, 11) if not -3 <= k <= 4])
                 for w in (1.0, 0.5, -0.7):
-                    for p in (0, 1):
-                        for side in ("lower", "upper"):
-                            for k0 in (-7, -4, -3, 0, 4, 5, 9):
-                                record(side, lambda: weighted_tail_sum(f, w, side, k0, p))
-                            record(side, lambda: running_sums(f, w, side, -7, 9, p))
-    assert counts == {"lower": 11928, "upper": 7392}
+                    for side in ("lower", "upper"):
+                        for k0 in (-7, -4, -3, 0, 4, 5, 9):
+                            record(side, lambda: weighted_tail_sum(f, w, side, k0))
+                        record(side, lambda: running_sums(f, w, side, -7, 9))
+    assert counts == {"lower": 6552, "upper": 3696}
     assert digests["lower"].hexdigest() == (
-        "1aaa331f1034d83582eceb7853325b5ec7fa5e7d6fd4747ae40564fcc0f1aa13")
+        "1b1c61cf5cec8461cc14638ff54e2a215ffbcd74b0656cc76d6bddb55460c750")
     assert digests["upper"].hexdigest() == (
-        "d59089a0d9732574dd002d48b30a25a6ea47c5c1babc6c8cc37ecaa2fa7c9fc6")
+        "6d1f82abbc45d194fbbd122f71c0e96dfacb94fc572ce3bb66a27e0d6a66f0f9")
 
 
 def test_tail_spec_family():

@@ -81,7 +81,27 @@ def test_catalog_picard_converges_with_predicted_rate(catalog_solution):
 
 def test_catalog_fixed_point_property(catalog_solution):
     rhs, sol = catalog_solution
-    assert max(mild_residuals(sol)) <= 2e-12
+    assert mild_residuals(sol).max_residual <= 2e-12
+
+
+@pytest.mark.parametrize("M,ok", [(0.1, True), (0.001, False)])
+def test_mild_residuals_check_M_on_their_own_values_of_f(catalog_solution, M, ok):
+    # one call of f per solved shell gives both the residuals and the entry
+    rhs, sol = catalog_solution
+    calls = []
+
+    def f(r, x):
+        calls.append(r)
+        return rhs.f(r, x)
+
+    counted = replace(sol, rhs=replace(rhs, f=f, M=M))
+    report = mild_residuals(counted)
+    assert len(calls) == sol.grid.size
+    assert report.window == (sol.k_min, sol.frontier)
+    assert [k for k, _ in report.residuals] == list(sol.grid.shells)
+    assert report.residuals == mild_residuals(sol).residuals
+    assert [(c.name, c.passed) for c in report.checks] == [("uniform bound M", ok)]
+    assert report.ok is ok
 
 
 def test_uniqueness_under_restart(catalog_solution):
@@ -198,7 +218,7 @@ def test_continuation_catalog_contracts_and_solves_mild_equation(catalog_solutio
     assert ext.frontier == 8
     assert ext.contraction_factors
     assert max(ext.contraction_factors.values()) <= 0.5
-    assert max(mild_residuals(ext)) <= 1e-9
+    assert mild_residuals(ext).max_residual <= 1e-9
     # earlier shells untouched by the extension
     assert ext.values[: len(sol.values)] == sol.values
 
@@ -314,7 +334,7 @@ def test_full_pipeline_above_order_one():
     ext = continue_solution(sol, 14, tol=1e-13, max_iter=80)
     assert abs(ext.value(14)) > 10.0        # growth is real
     assert max(ext.contraction_factors.values()) < 1.0
-    assert max(mild_residuals(ext)) <= 1e-9
+    assert mild_residuals(ext).max_residual <= 1e-9
     report = verify_strict(ext, (-4, 4))
     assert report.ok
     assert report.max_residual <= 1e-8 * (1.0 + rhs.M)
@@ -397,18 +417,18 @@ PINNED_REPORTS = {
     # the extension diverges at shell 12: evaluated at the frontier 10
     "extension-fallback": (
         FALLBACK, PASSING_CHECKS,
-        "6361db8b10570fc929cc2d14e12092bc6bfc41d7d6f31c03643da8cd30ffe1e4"),
+        "3bd9a831e4770943ee60f3fd392575bbdc757d2d8c16a063825d0da812cea0c3"),
     # the fitted upper exponent 4.68 is >= alpha: the tail becomes a constant
     "exponent-cap": (
         (2, 1.7, -0.5, (-7, -3), 0, 1e-12, "0.05*sin(x + 1.3)", 0.1, 0.1, 3.2),
         PASSING_CHECKS,
-        "566b66e09f14d9bd2107f91985aa74c94090f12734646ce4b79839e82323b069"),
+        "786c6c409512db74315598bb99d8e73aea87fee9344bd915ccb59070b6c10d14"),
     # M = 0.001 understates max |f|: the uniform bound entry fails
     "near-split-fails": (
         (5, 1.7, -2.0, (-6, 3), 1, 1e-9, "0.1*tanh(x)*min(1, r^-2)", 0.001, 0.05, 1.8),
         [("decay exponent beta", True), ("evaluation horizon", True),
          ("uniform bound M", False), ("decay constant", True)],
-        "bd3df8b5b02cc975cf11e1382213a54eb2f612a76e5f0b4407828dc8b9c96d72"),
+        "6e9b6fc91562c9bd65098818e110d49ca10d1a4885e9cd9b0e98c4855c2fd82a"),
 }
 
 
