@@ -252,16 +252,11 @@ def _render(cfg: RunConfig, command: str) -> tuple[list[str], list[tuple]]:
     raise ConfigError(f"unknown command {command!r}; expected one of {_COMMANDS}")
 
 
-def _fmt(v: object) -> str:
-    if isinstance(v, int):
-        return str(v)
-    return "%.17g" % (v,)
-
-
 def _csv_text(header: list[str], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    """One %-format per table, from the first row's column types: %d for
+    int, %.17g for float; every row is then formatted in one step."""
+    fmt = ",".join("%d" if isinstance(v, int) else "%.17g" for v in rows[0]) + "\n" if rows else ""
+    return ",".join(header) + "\n" + "".join([fmt % row for row in rows])
 
 
 def run(config: RunConfig, command: str, out: str | None = None) -> int:

@@ -150,8 +150,14 @@ def ialpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:
     sphere |y| = q^n it varies with the stratum |x-y| = q^m, of measure
     (1-1/q)q^m for m < n and (1-2/q)q^n for m = n.  The stratified boundary
     sum has an exact geometric closed form, so the oracle is truncation
-    free.  At a == 1 exactly it integrates the logarithmic kernel
-    log|x-y| - log|y| instead.
+    free.  Each term is summed directly, with s = (a-1) L:
+
+        front (q^((a-1)n) - q^((a-1)j)) = expm1(-a L) q^((a-1)j) R(n - j),
+        front * bracket = -q^(a n - 1) R(-1),
+
+    where the boundary bracket is q^(a n - 1) expm1(-s)/(-expm1(-a L)) and
+    R(m) = expm1(m s)/expm1(s), so nothing cancels next to a = 1; at
+    a == 1 exactly R(m) = m, the logarithmic kernel.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -159,25 +165,22 @@ def ialpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:
         raise DomainViolation("oracle requires a compactly supported input (zero tails)")
     q = u.grid.q
     k_min, k_max = u.grid.k_min, u.grid.k_max
+    lnq = math.log(q)
+    s = (alpha - 1.0) * lnq
+
+    def ratio(m: int) -> float:
+        return float(m) if alpha == 1.0 else math.expm1(m * s) / math.expm1(s)
+
     one = 1.0 - 1.0 / q
-    front = front_coeff(alpha, q)
-    un = u.eval(n)
+    lead = math.expm1(-alpha * lnq)
     total = 0.0
-    if alpha == 1.0:
-        lnq = math.log(q)
-        for j in range(k_min, min(n - 1, k_max) + 1):
-            total += one * qpow(q, j) * (n - j) * lnq * u.values[j - k_min]
-        # boundary sphere: int (log|x-y| - log|y|) dy = -ln q * q^n/(q-1)
-        total -= un * lnq * qpow(q, n) / (q - 1.0)
-    else:
-        kn = qpow(q, (alpha - 1.0) * n)
-        for j in range(k_min, min(n - 1, k_max) + 1):
-            total += one * qpow(q, j) * (kn - qpow(q, (alpha - 1.0) * j)) * u.values[j - k_min]
-        # boundary sphere: int (|x-y|^(a-1) - q^((a-1)n)) dy in closed form
-        if un != 0.0:
-            inner = one * qpow(q, alpha * (n - 1)) / (1.0 - qpow(q, -alpha))
-            total += un * (inner - qpow(q, alpha * n - 1.0))
-    return front * total
+    for j in range(k_min, min(n - 1, k_max) + 1):
+        kernel = lead * qpow(q, (alpha - 1.0) * j) * ratio(n - j)
+        total += one * qpow(q, j) * kernel * u.values[j - k_min]
+    un = u.eval(n)
+    if un != 0.0:
+        total -= un * qpow(q, alpha * n - 1.0) * ratio(-1)
+    return total
 
 
 def _moment_times_front(alpha: float, m: int, q: int) -> float:

@@ -19,6 +19,9 @@ to u - u0 and comparing with f along the solution.
 Shells below the solve window are handled through a constant tail model
 for f(., u) anchored at the cutoff; the cutoff is chosen so that the
 certified effect of any model error (at most 2M) stays below tol/10.
+A solution carries f(., u) with this tail as ``MildSolution.phi``, which
+continuation extends: beyond the iterations themselves, f is formed once
+per solved shell.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import (
@@ -106,7 +110,8 @@ class MildSolution:
     grid.k_max.  ``picard_history`` holds the sup-norm successive
     differences of the Picard stage; continued shells record their scalar
     fixed-point iteration counts and contraction factors.  u(0) = u0 by
-    continuity.
+    continuity.  ``phi`` is f(., u) on the solved shells, formed on first
+    use; a copy made by ``dataclasses.replace`` forms its own.
     """
 
     grid: RadialGrid
@@ -151,6 +156,10 @@ class MildSolution:
 
     def contraction_at(self, k: int) -> float:
         return self.contraction_factors.get(k, self.predicted_rho)
+
+    @cached_property
+    def phi(self) -> RadialFunction:
+        return _phi_function(self.q, self.k_min, self.values, self.rhs)
 
 
 @dataclass(frozen=True)
@@ -277,8 +286,8 @@ def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
 
 def mild_residuals(sol: MildSolution) -> ResidualReport:
     """|u - (u0 + I^a f(., u))| on every solved shell, one extra Picard map,
-    with the uniform bound M checked on the same values of f."""
-    phi = _phi_function(sol.q, sol.k_min, sol.values, sol.rhs)
+    with the uniform bound M checked on the same values of f, ``sol.phi``."""
+    phi = sol.phi
     integ = apply_ialpha(phi, sol.alpha, (sol.k_min, sol.frontier))
     residuals = tuple((k, abs(u - (sol.u0 + w)))
                       for k, u, w in zip(sol.grid.shells, sol.values, integ.values))
@@ -295,10 +304,10 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
     q^(a l) * F_(l+1) is recorded.  Raises :class:`ContractionFailure` at
     the first shell whose iteration diverges or stalls.
 
-    v0 reads f(., u) over the solved shells, with the constant lower tail
-    of the Picard stage, through one :class:`~ultrafrac.fracint.KernelSum`
-    kept running across steps, so each new shell costs one more evaluation
-    of f and one more step of the sum.
+    v0 reads ``sol.phi`` (f(., u) with the constant lower tail of the
+    Picard stage) through one :class:`~ultrafrac.fracint.KernelSum` kept
+    running across steps; each new shell costs one more evaluation of f,
+    which also extends ``phi`` on the result, and one more step of the sum.
     """
     if k_max <= sol.frontier:
         return sol
@@ -306,9 +315,10 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
     values = list(sol.values)
     fp_iters = dict(sol.fp_iterations)
     factors = dict(sol.contraction_factors)
-    phi = _phi_function(q, sol.k_min, values, rhs)
+    phi = sol.phi
+    f_vals = list(phi.values)
     run = KernelSum(phi.lower_tail, q, alpha, sol.k_min)
-    for v in phi.values:
+    for v in f_vals:
         run.push(v)
     for l in range(sol.frontier, k_max):
         v0 = run.value
@@ -339,10 +349,14 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
         values.append(x)
         fp_iters[l + 1] = its
         factors[l + 1] = factor
+        f_vals.append(rhs.f(r_next, x))
         if l + 1 < k_max:
-            run.push(rhs.f(r_next, x))
-    return replace(sol, grid=RadialGrid(q, sol.k_min, k_max), values=tuple(values),
-                   fp_iterations=fp_iters, contraction_factors=factors)
+            run.push(f_vals[-1])
+    ext = replace(sol, grid=RadialGrid(q, sol.k_min, k_max), values=tuple(values),
+                  fp_iterations=fp_iters, contraction_factors=factors)
+    object.__setattr__(ext, "phi", RadialFunction.from_values(
+        q, sol.k_min, f_vals, 0.0, phi.lower_tail))
+    return ext
 
 
 def verify_strict(sol: MildSolution, window: tuple[int, int],
@@ -406,9 +420,9 @@ def verify_strict(sol: MildSolution, window: tuple[int, int],
         if g.upper_tail.e >= alpha - 1e-9:
             g = g.with_tails(upper=TailSpec.constant(g_vals[-1]))
     deriv = apply_dalpha(g, alpha, (n_lo, n_hi))
-    residuals = tuple(
-        (n, abs(w - rhs.f(qpow(q, n), work.value(n))))
-        for n, w in zip(range(n_lo, n_hi + 1), deriv.values))
+    phi = work.phi
+    residuals = tuple((n, abs(w - phi.eval(n)))
+                      for n, w in zip(range(n_lo, n_hi + 1), deriv.values))
     checks.extend(_declared_constant_checks(work))
     return ResidualReport((n_lo, n_hi), residuals, tuple(checks))
 
@@ -421,8 +435,7 @@ def _declared_constant_checks(work: MildSolution) -> list[ConditionEntry]:
     max |f(q^l, u_l)| q^(beta l) over shells l >= 1 must be a finite float.
     Each entry names the shell that decides it.
     """
-    q, rhs = work.q, work.rhs
-    phi = _phi_function(q, work.k_min, work.values, rhs)
+    q, rhs, phi = work.q, work.rhs, work.phi
     entries = [_bound_entry(phi, rhs.M)]
     if rhs.beta is None:
         return entries

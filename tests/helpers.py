@@ -421,3 +421,14 @@ def eval_by_tree_walk(node, q, variables: tuple[str, ...], *args: float) -> floa
         return _finite(_IMPL[n.name](*vals), n.name)
 
     return walk(node)
+
+
+def csv_text_by_value(header: list[str], rows: list[tuple]) -> str:
+    """CSV text formatted one value at a time: str() for an int, %.17g for
+    anything else.  The reference for ``cli._csv_text``, which formats
+    each row with one format string."""
+    def fmt(v: object) -> str:
+        return str(v) if isinstance(v, int) else "%.17g" % (v,)
+
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

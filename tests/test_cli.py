@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultrafrac.cli import _EXIT_TABLE, exit_code_for, load_config, main
+import ultrafrac.cli as cli
+import ultrafrac.solver as solver
+from ultrafrac.cli import _EXIT_TABLE, _csv_text, exit_code_for, load_config, main
 from ultrafrac.errors import ConfigError, MissingBeta, NoContraction
+from helpers import csv_text_by_value
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,6 +162,62 @@ def test_golden_solve_n3(tmp_path):
     assert main(["solve", "--config", str(DATA / "catalog_solve_n3.cfg"),
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "golden_solve_n3.csv").read_bytes()
+
+
+CSV_ROWS = [
+    (0, 0.0, -0.0, 5e-324, 7),
+    (-12, 1e308, -1e308, 2.2250738585072014e-308 / 3, 10 ** 20),
+    (3, math.inf, -math.inf, math.nan, -1),
+    (7, 7.9999999999999982, 0.1, -1.5e-300, 0),
+]
+
+
+@pytest.mark.parametrize("rows", [CSV_ROWS, CSV_ROWS[:1], []])
+def test_csv_rows_match_the_per_value_format(rows):
+    # one format string per table against str() / %.17g value by value,
+    # the header-only table included
+    header = ["k", "a", "b", "c", "n"]
+    assert _csv_text(header, rows).encode() == csv_text_by_value(header, rows).encode()
+
+
+@pytest.mark.parametrize("command,config", [
+    ("solve", "catalog_solve.cfg"), ("solve", "catalog_solve_n3.cfg"),
+    ("verify", "catalog_verify.cfg")])
+def test_f_is_formed_once_per_solved_shell(tmp_path, monkeypatch, command, config):
+    # Picard forms f on its shells once per iteration and the continuation
+    # once per fixed-point step; beyond that, each solved shell's value of f
+    # is formed once and read by every later stage
+    calls = [0]
+    solutions = []
+    make_callable = solver.make_callable
+
+    def counting_make_callable(node, q, variables):
+        fn = make_callable(node, q, variables)
+        if tuple(variables) != ("r", "x"):
+            return fn
+
+        def f(r, x):
+            calls[0] += 1
+            return fn(r, x)
+        return f
+
+    def recording(continue_solution):
+        def wrapped(*args, **kwargs):
+            solutions.append(continue_solution(*args, **kwargs))
+            return solutions[-1]
+        return wrapped
+
+    monkeypatch.setattr(solver, "make_callable", counting_make_callable)
+    monkeypatch.setattr(cli, "continue_solution", recording(cli.continue_solution))
+    monkeypatch.setattr(solver, "continue_solution", recording(solver.continue_solution))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(DATA / config), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / config.replace("catalog", "golden")
+                                .replace(".cfg", ".csv")).read_bytes()
+    sol = solutions[-1]
+    picard_shells = sol.picard_frontier - sol.k_min + 1
+    assert calls[0] == (sol.picard_iterations * picard_shells
+                        + sum(sol.fp_iterations.values()) + sol.grid.size)
 
 
 def test_picard_envelope_at_n60_does_not_abort(tmp_path, capsys):

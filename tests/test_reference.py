@@ -15,6 +15,7 @@ from ultrafrac import (
     TailSpec,
     apply_ialpha,
     bound_constant,
+    ialpha_oracle,
     kernel_constant,
 )
 from ultrafrac.solver import _truncation_bound
@@ -74,6 +75,18 @@ def test_apply_ialpha_next_to_one(alpha):
                 assert err <= Decimal(1e-12) * size
                 if ref >= Decimal(1e-3) * size:  # a value that is not a cancellation
                     assert err <= Decimal(1e-12) * ref
+
+
+@pytest.mark.parametrize("alpha", [1.0 + s * 10.0 ** -k for k in (6, 9, 12) for s in (1, -1)])
+def test_ialpha_oracle_next_to_one(alpha):
+    # the direct double sum with expm1 kernel differences: no cancellation
+    # next to 1, where the former differences erred by up to 2.7e-3
+    for q in (2, 3):
+        for seed in range(4):
+            u = next(_inputs(q, 31 * q + seed, width=12))  # the zero-tail input
+            for n in range(u.grid.k_min - 3, u.grid.k_max + 1):
+                ref, size = reference.ialpha(u, alpha, n)
+                assert abs(Decimal(ialpha_oracle(u, alpha, n)) - ref) <= Decimal(1e-12) * size
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.7, 2.5])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -26,7 +27,7 @@ from ultrafrac import (
     qpow,
     verify_strict,
 )
-from ultrafrac.solver import _declared_constant_checks, _far_overflow_shell
+from ultrafrac.solver import _declared_constant_checks, _far_overflow_shell, _phi_function
 from helpers import bits, catalog_rhs, check_rhs_conditions, continue_by_rebuild, v0_at
 
 Q, ALPHA, U0 = 2, 0.5, 1.0
@@ -260,6 +261,46 @@ def test_continuation_and_verification_read_the_problem_from_the_solution(catalo
     with pytest.raises(MissingBeta, match="no decay exponent"):
         verify_strict(replace(ext, rhs=zero), (-4, 2))
     assert verify_strict(replace(ext, u0=U0 + 0.25), (-4, 2)).max_residual > 1e-4
+
+
+def _assert_fresh_phi(sol):
+    """The carried f(., u) has the bits of a fresh build from the values."""
+    fresh = _phi_function(sol.q, sol.k_min, sol.values, sol.rhs)
+    assert sol.phi.grid == fresh.grid
+    assert bits(sol.phi.values) == bits(fresh.values)
+    assert (sol.phi.value_at_zero, sol.phi.lower_tail, sol.phi.upper_tail) == (
+        fresh.value_at_zero, fresh.lower_tail, fresh.upper_tail)
+
+
+def test_carried_phi_matches_a_fresh_build(catalog_solution):
+    rhs, sol = catalog_solution
+    ext = continue_solution(sol, 14, tol=1e-13, max_iter=60)
+    _assert_fresh_phi(ext)
+    _assert_fresh_phi(continue_solution(ext, 30, tol=1e-13, max_iter=60))
+    for seed in range(6):
+        rnd = random.Random(seed)
+        q, alpha = rnd.choice((2, 3, 5)), rnd.choice((0.3, 0.5, 1.0, 1.7))
+        rhs = catalog_rhs(q, alpha)
+        N = pick_frontier(rhs, q, alpha)
+        start = picard_solve(rhs, rnd.uniform(-1.0, 1.0), alpha, q, N,
+                             k_min=N - rnd.randint(1, 8), tol=1e-10, max_iter=80)
+        _assert_fresh_phi(start)
+        staged = continue_solution(start, N + rnd.randint(1, 12), tol=1e-12)
+        _assert_fresh_phi(staged)
+        _assert_fresh_phi(continue_solution(staged, staged.frontier + 15, tol=1e-12))
+
+
+def test_replaced_solution_forms_its_own_phi(catalog_solution):
+    # replace() gives an empty cache: another rhs is never read through the
+    # f(., u) of the solution it was copied from
+    _, sol = catalog_solution
+    ext = continue_solution(sol, 8, tol=1e-13, max_iter=60)
+    cached = ext.phi
+    other = RhsSpec(lambda r, x: 0.5 * x, M=1.0, F=0.5)
+    swapped = replace(ext, rhs=other)
+    assert swapped.phi.values == tuple(0.5 * v for v in ext.values)
+    assert swapped.phi.lower_tail.c == 0.5 * ext.values[0]
+    assert ext.phi is cached and cached.values != swapped.phi.values
 
 
 def test_continuation_failure_reports_shell():
