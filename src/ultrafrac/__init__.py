@@ -30,17 +30,16 @@ from .fracint import (
     apply_ialpha,
     bound_constant,
     front_coeff,
+    ialpha_domain,
     ialpha_oracle,
     kernel_constant,
 )
 from .grid import (
     ConditionEntry,
     ConditionReport,
-    GrowthKind,
     RadialFunction,
     RadialGrid,
     TailSpec,
-    check_growth_conditions,
     qpow,
     running_sums,
 )
@@ -55,6 +54,7 @@ from .solver import (
 )
 from .vladimirov import (
     apply_dalpha,
+    dalpha_domain,
     dalpha_oracle,
     diag_coeff,
     fit_upper_tail,

@@ -25,7 +25,6 @@ from .errors import (
     NoContraction,
     RangeExceeded,
     ToleranceNotReached,
-    UltrafracError,
 )
 from .expr import make_callable, parse_expression
 from .fracint import apply_ialpha, kernel_constant
@@ -130,6 +129,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("tol must be positive")
     if cfg.max_iter < 1:
         raise ConfigError("max_iter must be at least 1")
+    if cfg.m_max < 0:
+        raise ConfigError(f"m_max must be >= 0, got {cfg.m_max}")
     return cfg
 
 
@@ -323,12 +324,9 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return run(load_config(args.config), args.command, args.out)
-    except (UltrafracError, OSError, ValueError) as exc:
+    except Exception as exc:
         print(_error_line(exc), file=sys.stderr)
         return exit_code_for(exc)
-    except Exception as exc:  # pragma: no cover - no abort paths for bad input
-        print(_error_line(exc), file=sys.stderr)
-        return 1
 
 
 def main_entry() -> None:

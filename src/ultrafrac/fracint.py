@@ -33,18 +33,19 @@ from functools import lru_cache
 
 from .errors import DivergentTail, DomainViolation
 from .grid import (
-    GrowthKind,
+    ConditionReport,
     RadialFunction,
     RadialGrid,
     RunningSum,
     TailSpec,
-    check_growth_conditions,
     qpow,
+    series_entry,
 )
 
 __all__ = [
     "front_coeff",
     "KernelSum",
+    "ialpha_domain",
     "apply_ialpha",
     "ialpha_oracle",
     "kernel_constant",
@@ -106,11 +107,23 @@ class KernelSum:
         return self._lead * self._g
 
 
+def ialpha_domain(u: RadialFunction, alpha: float) -> ConditionReport:
+    """Check the tail models of ``u`` against the integral's domain: the
+    lower shells summable with weight max(q**k, q**(alpha*k)).
+
+    Report-valued: never raises for failing conditions.
+    """
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return ConditionReport("ialpha_domain", (series_entry(
+        "lower sum max(q^k, q^(a k)) |u|", u.lower_tail, min(1.0, alpha), "lower"),))
+
+
 def apply_ialpha(u: RadialFunction, alpha: float,
                  out_window: tuple[int, int] | None = None) -> RadialFunction:
     """Evaluate the regularized integral of ``u`` on ``out_window``.
 
-    Requires lower-tail summability (the integral reads shells j <= n only,
+    Requires :func:`ialpha_domain` (the integral reads shells j <= n only,
     upper tails are irrelevant); raises :class:`DomainViolation` otherwise.
     The result has zero tails and value 0 at the origin.
 
@@ -119,7 +132,7 @@ def apply_ialpha(u: RadialFunction, alpha: float,
     up through the window, so each value is bit-identical to a run over its
     own one-shell window.
     """
-    report = check_growth_conditions(u, alpha, GrowthKind.IALPHA_DOMAIN)
+    report = ialpha_domain(u, alpha)
     if not report.ok:
         raise DomainViolation(
             "input is outside the integral's domain:\n" + str(report))
@@ -137,8 +150,7 @@ def apply_ialpha(u: RadialFunction, alpha: float,
                 offdiag.append(v)
     values = [qpow(q, alpha * (n - 1)) * u.eval(n) + v
               for n, v in zip(range(n_lo, n_hi + 1), offdiag)]
-    return RadialFunction(RadialGrid(q, n_lo, n_hi), tuple(values), 0.0,
-                          TailSpec.zero(), TailSpec.zero())
+    return RadialFunction.from_values(q, n_lo, values)
 
 
 def ialpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:

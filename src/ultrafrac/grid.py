@@ -16,7 +16,6 @@ reproducible.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,10 +29,9 @@ __all__ = [
     "RadialFunction",
     "RunningSum",
     "running_sums",
-    "GrowthKind",
     "ConditionEntry",
     "ConditionReport",
-    "check_growth_conditions",
+    "series_entry",
 ]
 
 def qpow(q: float, x: float) -> float:
@@ -300,13 +298,6 @@ def running_sums(f: RadialFunction, w: float, side: str, k_lo: int, k_hi: int) -
     return out if step == 1 else out[::-1]
 
 
-class GrowthKind(enum.Enum):
-    """Which set of growth conditions to check against the tail models."""
-
-    DALPHA_DOMAIN = "dalpha_domain"
-    IALPHA_DOMAIN = "ialpha_domain"
-
-
 @dataclass(frozen=True)
 class ConditionEntry:
     name: str
@@ -335,7 +326,7 @@ class ConditionReport:
         return "\n".join(lines)
 
 
-def _series_entry(name: str, tail: TailSpec, w: float, side: str) -> ConditionEntry:
+def series_entry(name: str, tail: TailSpec, w: float, side: str) -> ConditionEntry:
     """Entry for convergence of sum q**(w*k)|u(q**k)| over one tail."""
     if tail.is_null():
         return ConditionEntry(name, True, "tail vanishes")
@@ -347,30 +338,3 @@ def _series_entry(name: str, tail: TailSpec, w: float, side: str) -> ConditionEn
         ok = w + e < 0.0
         need = f"exponent < {-w:g}"
     return ConditionEntry(name, ok, f"{need}; tail exponent is {e:g}")
-
-
-def check_growth_conditions(f: RadialFunction, alpha: float,
-                            kind: GrowthKind) -> ConditionReport:
-    """Check the tail models of ``f`` against the growth conditions ``kind``.
-
-    DALPHA_DOMAIN: existence of the fractional derivative (lower shells
-    summable with weight q**k, upper with q**(-alpha*l)).  IALPHA_DOMAIN:
-    existence of the regularized integral (lower weight max(q**k, q**(a*k)),
-    for every alpha).
-
-    Report-valued: never raises for failing conditions.
-    """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    lo, up = f.lower_tail, f.upper_tail
-    entries: list[ConditionEntry] = []
-
-    if kind is GrowthKind.DALPHA_DOMAIN:
-        entries.append(_series_entry("lower sum q^k |u|", lo, 1.0, "lower"))
-        entries.append(_series_entry("upper sum q^(-a l) |u|", up, -alpha, "upper"))
-    elif kind is GrowthKind.IALPHA_DOMAIN:
-        entries.append(_series_entry(
-            "lower sum max(q^k, q^(a k)) |u|", lo, min(1.0, alpha), "lower"))
-    else:
-        raise ValueError(f"unknown growth kind {kind}")
-    return ConditionReport(kind.value, tuple(entries))

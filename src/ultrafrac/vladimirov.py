@@ -23,18 +23,18 @@ import math
 
 from .errors import DomainViolation
 from .grid import (
-    GrowthKind,
+    ConditionReport,
     RadialFunction,
-    RadialGrid,
     TailSpec,
-    check_growth_conditions,
     qpow,
     running_sums,
+    series_entry,
 )
 
 __all__ = [
     "theta",
     "diag_coeff",
+    "dalpha_domain",
     "apply_dalpha",
     "dalpha_oracle",
     "fit_upper_tail",
@@ -63,16 +63,29 @@ def _scaled_lower(pref: float, q: int, x: float, low: float) -> float:
     return pref * (qpow(q, x / 2) * (qpow(q, x - x / 2) * low))
 
 
+def dalpha_domain(u: RadialFunction, alpha: float) -> ConditionReport:
+    """Check the tail models of ``u`` against the derivative's domain: the
+    lower shells summable with weight q**k, the upper ones with q**(-alpha*l).
+
+    Report-valued: never raises for failing conditions.
+    """
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return ConditionReport("dalpha_domain", (
+        series_entry("lower sum q^k |u|", u.lower_tail, 1.0, "lower"),
+        series_entry("upper sum q^(-a l) |u|", u.upper_tail, -alpha, "upper")))
+
+
 def apply_dalpha(u: RadialFunction, alpha: float,
                  out_window: tuple[int, int] | None = None) -> RadialFunction:
     """Evaluate the fractional derivative of ``u`` on ``out_window``.
 
-    Requires the growth conditions for the operator's domain; raises
+    Requires the growth conditions of :func:`dalpha_domain`; raises
     :class:`DomainViolation` otherwise.  The result carries zero tails, its
     values are defined only on the output window (callers widen the window
     as needed; nothing is extrapolated silently).
     """
-    report = check_growth_conditions(u, alpha, GrowthKind.DALPHA_DOMAIN)
+    report = dalpha_domain(u, alpha)
     if not report.ok:
         raise DomainViolation(
             "input is outside the derivative's domain:\n" + str(report))
@@ -91,8 +104,7 @@ def apply_dalpha(u: RadialFunction, alpha: float,
         s2 = qpow(q, -alpha * n - 1.0) * dg * u.eval(n)
         s3 = pref * up
         values.append(s1 + s2 + s3)
-    return RadialFunction(RadialGrid(q, n_lo, n_hi), tuple(values), 0.0,
-                          TailSpec.zero(), TailSpec.zero())
+    return RadialFunction.from_values(q, n_lo, values)
 
 
 def dalpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:

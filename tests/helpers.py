@@ -17,8 +17,10 @@ from ultrafrac import (
     TailSpec,
     apply_dalpha,
     apply_ialpha,
+    dalpha_domain,
     diag_coeff,
     fit_upper_tail,
+    ialpha_domain,
     qpow,
     running_sums,
     theta,
@@ -26,9 +28,7 @@ from ultrafrac import (
 from ultrafrac.errors import ExprEvalError
 from ultrafrac.expr import _IMPL, BinOp, Call, Neg, Num, Var, _finite, _power
 from ultrafrac.fracint import KernelSum
-from ultrafrac.grid import GrowthKind as SrcGrowthKind
-from ultrafrac.grid import _Kahan, _series_entry, _tail_series
-from ultrafrac.grid import check_growth_conditions as grid_conditions
+from ultrafrac.grid import _Kahan, _tail_series, series_entry
 from ultrafrac.solver import _phi_function
 from ultrafrac.vladimirov import _scaled_lower
 
@@ -227,8 +227,9 @@ def ball_power_integral(grid: RadialGrid, n: int, a: float) -> float:
 
 
 class GrowthKind(enum.Enum):
-    """The growth-condition sets of ``ultrafrac.GrowthKind`` (the two operator
-    domains) plus the inverse-property hypotheses that only tests check."""
+    """The growth-condition sets: the two operator domains, checked by
+    ``ultrafrac.dalpha_domain`` and ``ultrafrac.ialpha_domain``, plus the
+    inverse-property hypotheses that only tests check."""
 
     DALPHA_DOMAIN = "dalpha_domain"
     IALPHA_DOMAIN = "ialpha_domain"
@@ -238,17 +239,19 @@ class GrowthKind(enum.Enum):
 
 def check_growth_conditions(f: RadialFunction, alpha: float,
                             kind: GrowthKind) -> ConditionReport:
-    """``ultrafrac.check_growth_conditions`` for the operator domains, plus:
+    """``dalpha_domain`` or ``ialpha_domain`` for the operator domains, plus:
 
     RIGHT_INVERSE: the integral's domain conditions plus absolute
     summability above.  LEFT_INVERSE: the two-exponent decay hypotheses
     under which the integral is also a left inverse, including u(0) = 0.
     """
-    if kind in (GrowthKind.DALPHA_DOMAIN, GrowthKind.IALPHA_DOMAIN):
-        return grid_conditions(f, alpha, SrcGrowthKind[kind.name])
+    if kind is GrowthKind.DALPHA_DOMAIN:
+        return dalpha_domain(f, alpha)
+    if kind is GrowthKind.IALPHA_DOMAIN:
+        return ialpha_domain(f, alpha)
     if kind is GrowthKind.RIGHT_INVERSE:
-        domain = grid_conditions(f, alpha, SrcGrowthKind.IALPHA_DOMAIN)
-        entries = domain.entries + (_series_entry("upper sum |u|", f.upper_tail, 0.0, "upper"),)
+        domain = ialpha_domain(f, alpha)
+        entries = domain.entries + (series_entry("upper sum |u|", f.upper_tail, 0.0, "upper"),)
         return ConditionReport(kind.value, entries)
     lo, up = f.lower_tail, f.upper_tail
     entries = [ConditionEntry(

@@ -353,6 +353,7 @@ CONFIG_ERRORS = {
     "tail-not-numbers": ("apply-d", APPLY + "lower_tail = powerlaw:a,b\n"),
     "apply-d-empty-window": ("apply-d", APPLY.replace("k_min = -3", "k_min = 4")),
     "solve-empty-window": ("solve", BASE.replace("k_min = -3", "k_min = 5")),
+    "m_max-negative": ("constants", "q = 2\nalpha = 0.5\nm_max = -1\n"),
 }
 
 
@@ -520,6 +521,44 @@ def test_domain_violation_exit_code(tmp_path, capsys):
                               "lower_tail = zero\n")
     assert main(["apply-d", "--config", cfg]) == 4
     assert "DomainViolation" in capsys.readouterr().err
+
+
+# full stderr lines of the two operators' domain failures; the report text
+# is the operator's own domain check, whitespace-joined onto one line
+DOMAIN_ERRORS = {
+    "apply-d": ("upper_tail = powerlaw:1,2\nlower_tail = zero\n",
+                "error[DomainViolation]: input is outside the derivative's domain: "
+                "[dalpha_domain] FAILED pass lower sum q^k |u|: tail vanishes "
+                "FAIL upper sum q^(-a l) |u|: exponent < 0.5; tail exponent is 2\n"),
+    "apply-i": ("lower_tail = powerlaw:1,-0.9\n",
+                "error[DomainViolation]: input is outside the integral's domain: "
+                "[ialpha_domain] FAILED FAIL lower sum max(q^k, q^(a k)) |u|: "
+                "exponent > -0.5; tail exponent is -0.9\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DOMAIN_ERRORS))
+def test_domain_violation_messages_are_kept(tmp_path, capsys, command):
+    tails, line = DOMAIN_ERRORS[command]
+    cfg = write_cfg(tmp_path, "q = 2\nalpha = 0.5\nk_min = -2\nk_max = 2\nrhs = r\n" + tails)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), ValueError("bad\nvalue")],
+                         ids=["RuntimeError", "ValueError"])
+def test_unexpected_errors_exit_1_with_one_line(tmp_path, capsys, monkeypatch, exc):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "run", fail)
+    cfg = write_cfg(tmp_path, "q = 2\nalpha = 0.5\n")
+    assert main(["constants", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.count("error[") == 1
+    assert err == f"error[{type(exc).__name__}]: {' '.join(str(exc).split())}\n"
 
 
 def test_contraction_failure_exit_code(tmp_path, capsys):

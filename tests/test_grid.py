@@ -12,10 +12,15 @@ from hypothesis import strategies as st
 
 from ultrafrac import (
     DivergentTail,
+    DomainViolation,
     RadialFunction,
     RadialGrid,
     RangeExceeded,
     TailSpec,
+    apply_dalpha,
+    apply_ialpha,
+    dalpha_domain,
+    ialpha_domain,
     qpow,
     running_sums,
 )
@@ -439,3 +444,32 @@ def test_growth_conditions_monotone_in_exponent(kind, alpha):
     assert lower_passes == sorted(lower_passes)        # False ... True
     upper_passes = [passes(5.0, e) for e in es]
     assert upper_passes == sorted(upper_passes, reverse=True)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7])
+def test_operators_raise_exactly_when_their_domain_fails(q, alpha):
+    # each operator guards its sums with its own report, and quotes it
+    es = [x / 4.0 for x in range(-12, 13)] + [-alpha - 0.05, -alpha + 0.05,
+                                              alpha - 0.05, alpha + 0.05]
+    seen = set()
+    for e_lo in es:
+        for e_up in es:
+            f = RadialFunction.from_values(
+                q, -1, [1.0, -0.5, 2.0],
+                lower_tail=TailSpec.power_law(1.0, e_lo),
+                upper_tail=TailSpec.power_law(-2.0, e_up))
+            for op, domain, sums in (
+                    (apply_dalpha, dalpha_domain, ((1.0, e_lo), (-alpha, e_up))),
+                    (apply_ialpha, ialpha_domain, ((min(1.0, alpha), e_lo),))):
+                if any(abs(w + e) < 1e-9 for w, e in sums):
+                    continue  # on the boundary the float ratio decides
+                report = domain(f, alpha)
+                seen.add((op, report.ok))
+                if report.ok:
+                    op(f, alpha)
+                    continue
+                with pytest.raises(DomainViolation) as info:
+                    op(f, alpha)
+                assert str(report) in str(info.value)
+    assert len(seen) == 4  # both outcomes for both operators

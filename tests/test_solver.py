@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -565,3 +566,15 @@ def test_rhs_spec_rejects_non_finite_constants(key, value):
     kw = {"M": 1.0, "F": 1.0, "beta": 1.5, key: value}
     with pytest.raises(ValueError, match=key):
         RhsSpec(lambda r, x: 0.0, **kw)
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's python block is public API in use; it must keep running
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    report, rhs = namespace["report"], namespace["rhs"]
+    assert report.ok
+    assert report.max_residual <= 1e-8 * (1.0 + rhs.M)
+    assert capsys.readouterr().out.startswith("[dalpha_domain] ok\n")
