@@ -41,7 +41,6 @@ from .grid import (
     RadialGrid,
     TailSpec,
     qpow,
-    running_sums,
 )
 from .solver import (
     MildSolution,

@@ -121,6 +121,8 @@ def load_config(path: str) -> RunConfig:
     cfg = RunConfig(**kwargs)  # type: ignore[arg-type]
     if cfg.q < 2:
         raise ConfigError(f"q must be an integer >= 2, got {cfg.q}")
+    if cfg.q > sys.float_info.max:
+        raise ConfigError(f"q must fit in a float, got an integer of {len(str(cfg.q))} digits")
     if cfg.alpha <= 0.0:
         raise ConfigError(f"alpha must be positive, got {cfg.alpha}")
     if qpow(cfg.q, -cfg.alpha) == 1.0:

@@ -40,6 +40,7 @@ from .grid import (
     TailSpec,
     qpow,
     series_entry,
+    sweep,
 )
 
 __all__ = [
@@ -127,27 +128,19 @@ def apply_ialpha(u: RadialFunction, alpha: float,
     upper tails are irrelevant); raises :class:`DomainViolation` otherwise.
     The result has zero tails and value 0 at the origin.
 
-    At output shells up to k_min the off-diagonal part is the tail closed
-    form anchored there; above k_min one :class:`KernelSum` runs from k_min
-    up through the window, so each value is bit-identical to a run over its
-    own one-shell window.
+    The off-diagonal parts come from one :func:`~ultrafrac.grid.sweep`
+    of :class:`KernelSum`, so each is bit-identical to a run over its own
+    one-shell window.
     """
     report = ialpha_domain(u, alpha)
     if not report.ok:
         raise DomainViolation(
             "input is outside the integral's domain:\n" + str(report))
-    q, k_min, tail = u.grid.q, u.grid.k_min, u.lower_tail
-    n_lo, n_hi = out_window if out_window is not None else (k_min, u.grid.k_max)
+    q = u.grid.q
+    n_lo, n_hi = out_window if out_window is not None else (u.grid.k_min, u.grid.k_max)
     if n_lo > n_hi:
         raise ValueError(f"empty output window [{n_lo}, {n_hi}]")
-    offdiag = [KernelSum(tail, q, alpha, n).value
-               for n in range(n_lo, min(n_hi, k_min) + 1)]
-    if n_hi > k_min:
-        run = KernelSum(tail, q, alpha, k_min)
-        for n in range(k_min + 1, n_hi + 1):
-            v = run.push(u.eval(n - 1))
-            if n >= n_lo:
-                offdiag.append(v)
+    offdiag = sweep(lambda n: KernelSum(u.lower_tail, q, alpha, n), u, "lower", n_lo, n_hi)
     values = [qpow(q, alpha * (n - 1)) * u.eval(n) + v
               for n, v in zip(range(n_lo, n_hi + 1), offdiag)]
     return RadialFunction.from_values(q, n_lo, values)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import DivergentTail, RangeExceeded
 
@@ -28,7 +28,7 @@ __all__ = [
     "TailSpec",
     "RadialFunction",
     "RunningSum",
-    "running_sums",
+    "sweep",
     "ConditionEntry",
     "ConditionReport",
     "series_entry",
@@ -97,7 +97,7 @@ class TailSpec:
     closed under the weighted geometric sums every operator needs, so tail
     contributions are exact.  A weighted lower-tail sum with weight
     q**(w*k) converges iff w + e > 0, an upper one iff w + e < 0;
-    :func:`running_sums` rejects the divergent combinations.
+    :class:`RunningSum` rejects the divergent combinations.
     """
 
     c: float = 0.0
@@ -237,7 +237,8 @@ class RunningSum:
     ``push`` adds the values at shells k_start, k_start + 1, ...; an upper
     sum starts as the series over k >= k_start + 1 and ``push`` walks down
     through k_start, k_start - 1, ...  The explicit terms are added with
-    compensated summation, in the order they are pushed.
+    compensated summation, in the order they are pushed.  The accumulator
+    :func:`sweep` runs for the derivative's two sums.
     """
 
     __slots__ = ("_q", "_w", "_k", "_step", "_acc")
@@ -261,40 +262,33 @@ class RunningSum:
         return self._acc.s
 
 
-def running_sums(f: RadialFunction, w: float, side: str, k_lo: int, k_hi: int) -> list[float]:
-    """The sum of q**(w*k) * f(q**k) over k <= k0 (lower) or k >= k0
-    (upper) for every k0 in [k_lo, k_hi], in one pass, listed in ascending k0.
+def sweep(start: Callable[[int], Any], f: RadialFunction, side: str,
+          n_lo: int, n_hi: int) -> list[float]:
+    """``start(n).value`` for every n in [n_lo, n_hi], in one pass, listed
+    in ascending n.
 
+    ``start(n)`` is a one-sided accumulator over f: its ``value`` is the sum
+    over the shells below n (lower) or above n (upper), and ``push(v)`` adds
+    the value at n, moves one shell on and returns the new ``value``.
+    :class:`RunningSum` and :class:`~ultrafrac.fracint.KernelSum` are two.
     Let the edge be the window shell next to the summed tail: k_min for a
-    lower sum, k_max for an upper one.  Each sum adds the exact closed form
-    of the tail region beyond the edge first and then the explicit terms,
-    walking from the edge toward k0.  From k0 one shell outside the edge
-    inward, the per-shell sums share that tail anchor and differ only in
-    how many terms follow it, so one :class:`RunningSum` yields all of them,
-    with one term per shell from the edge to the far end of [k_lo, k_hi].
-    Further out, the sum is the tail closed form anchored at k0 alone, the
-    value of a fresh run.  Either way each sum is bit-identical to a run of
-    its own, ``running_sums(f, w, side, k0, k0)``.
-
-    Raises :class:`DivergentTail` when the tail region's series has ratio
-    >= 1, i.e. when the convergence condition on the tail model fails.
+    lower sum, k_max for an upper one.  Up to the edge each value is a
+    fresh start's; beyond it, one run started at the edge takes one value
+    of f per shell.  Either way each value is bit-identical to
+    ``start(n).value``.
     """
     step = _step(side)
-    q = f.grid.q
-    tail, edge = (f.lower_tail, f.grid.k_min) if step == 1 else (f.upper_tail, f.grid.k_max)
-    # walk x = step * k upward: an upper sum is a lower sum of the reflection
-    x_lo, x_hi = (k_lo, k_hi) if step == 1 else (-k_hi, -k_lo)
+    edge = f.grid.k_min if step == 1 else f.grid.k_max
+    # walk x = step * n upward: an upper sweep is a lower one of the reflection
+    x_lo, x_hi = (n_lo, n_hi) if step == 1 else (-n_hi, -n_lo)
     x_edge = step * edge
-    out = [RunningSum(tail, q, w, step * (x + 1), side).value
-           for x in range(x_lo, min(x_hi + 1, x_edge - 1))]
-    if x_hi >= x_edge - 1:
-        run = RunningSum(tail, q, w, edge, side)
-        if x_lo <= x_edge - 1:
-            out.append(run.value)
-        for x in range(x_edge, x_hi + 1):
-            s = run.push(f.eval(step * x))
+    out = [start(step * x).value for x in range(x_lo, min(x_hi, x_edge) + 1)]
+    if x_hi > x_edge:
+        run = start(edge)
+        for x in range(x_edge + 1, x_hi + 1):
+            v = run.push(f.eval(step * (x - 1)))
             if x >= x_lo:
-                out.append(s)
+                out.append(v)
     return out if step == 1 else out[::-1]
 
 

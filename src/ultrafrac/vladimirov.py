@@ -25,10 +25,11 @@ from .errors import DomainViolation
 from .grid import (
     ConditionReport,
     RadialFunction,
+    RunningSum,
     TailSpec,
     qpow,
-    running_sums,
     series_entry,
+    sweep,
 )
 
 __all__ = [
@@ -97,8 +98,9 @@ def apply_dalpha(u: RadialFunction, alpha: float,
     dg = diag_coeff(alpha, q)
     pref = th * (1.0 - 1.0 / q)
     values = []
-    lows = running_sums(u, 1.0, "lower", n_lo - 1, n_hi - 1)
-    ups = running_sums(u, -alpha, "upper", n_lo + 1, n_hi + 1)
+    lows = sweep(lambda n: RunningSum(u.lower_tail, q, 1.0, n), u, "lower", n_lo, n_hi)
+    ups = sweep(lambda n: RunningSum(u.upper_tail, q, -alpha, n, "upper"),
+                u, "upper", n_lo, n_hi)
     for n, low, up in zip(range(n_lo, n_hi + 1), lows, ups):
         s1 = _scaled_lower(pref, q, -(alpha + 1.0) * n, low)
         s2 = qpow(q, -alpha * n - 1.0) * dg * u.eval(n)

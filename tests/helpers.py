@@ -22,13 +22,12 @@ from ultrafrac import (
     fit_upper_tail,
     ialpha_domain,
     qpow,
-    running_sums,
     theta,
 )
 from ultrafrac.errors import ExprEvalError
 from ultrafrac.expr import _IMPL, BinOp, Call, Neg, Num, Var, _finite, _power
 from ultrafrac.fracint import KernelSum
-from ultrafrac.grid import _Kahan, _tail_series, series_entry
+from ultrafrac.grid import RunningSum, _Kahan, _tail_series, series_entry, sweep
 from ultrafrac.solver import _phi_function
 from ultrafrac.vladimirov import _scaled_lower
 
@@ -39,6 +38,15 @@ UPPER_PAD = 45
 def bits(values) -> bytes:
     """The exact bytes of a float sequence: equal iff bit-identical, sign of zero included."""
     return struct.pack(f"<{len(values)}d", *values)
+
+
+def running_sums(f: RadialFunction, w: float, side: str, k_lo: int, k_hi: int) -> list[float]:
+    """The sum of q**(w*k) * f(q**k) over k <= k0 (lower) or k >= k0
+    (upper) for every k0 in [k_lo, k_hi], listed in ascending k0: the
+    :func:`sweep` of :class:`RunningSum` over the shells next to k0."""
+    s = 1 if side == "lower" else -1
+    tail = f.lower_tail if side == "lower" else f.upper_tail
+    return sweep(lambda n: RunningSum(tail, f.grid.q, w, n, side), f, side, k_lo + s, k_hi + s)
 
 
 def weighted_tail_sum(f: RadialFunction, w: float, side: str, k0: int) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -162,6 +163,17 @@ def test_golden_solve_n3(tmp_path):
     assert main(["solve", "--config", str(DATA / "catalog_solve_n3.cfg"),
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "golden_solve_n3.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command,golden", [("apply-d", "golden_apply_d.csv"),
+                                            ("apply-i", "golden_apply_i.csv")])
+def test_golden_operators(tmp_path, command, golden):
+    # a constant lower tail and a decaying power-law upper one: both tail
+    # closed forms and both sides of the shell sweep reach the output
+    out = tmp_path / "apply.csv"
+    assert main([command, "--config", str(DATA / "catalog_apply.cfg"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 CSV_ROWS = [
@@ -341,6 +353,7 @@ def test_bad_command_lines_exit_2(argv, capsys):
 
 
 APPLY = "q = 2\nalpha = 0.5\nrhs = min(1, r)\nk_min = -3\nk_max = 3\n"
+HUGE_Q = "q = 1" + "0" * 400
 
 CONFIG_ERRORS = {
     "q-1": ("solve", BASE.replace("q = 2", "q = 1")),
@@ -354,6 +367,10 @@ CONFIG_ERRORS = {
     "apply-d-empty-window": ("apply-d", APPLY.replace("k_min = -3", "k_min = 4")),
     "solve-empty-window": ("solve", BASE.replace("k_min = -3", "k_min = 5")),
     "m_max-negative": ("constants", "q = 2\nalpha = 0.5\nm_max = -1\n"),
+    # q = 10^400: float(q) would overflow in the compiled rhs and in 1/q
+    "q-beyond-float-apply-d": ("apply-d", APPLY.replace("q = 2", HUGE_Q)),
+    "q-beyond-float-solve": ("solve", BASE.replace("q = 2", HUGE_Q)),
+    "q-beyond-float-constants": ("constants", HUGE_Q + "\nalpha = 0.5\n"),
 }
 
 
@@ -367,6 +384,11 @@ def test_config_error_branches_exit_2(tmp_path, capsys, case):
     assert err.startswith("error[ConfigError]: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_largest_float_q_passes_the_config_check(tmp_path):
+    cfg = write_cfg(tmp_path, f"q = {int(sys.float_info.max)}\nalpha = 0.5\n")
+    assert load_config(cfg).q == int(sys.float_info.max)
 
 
 def test_deep_cutoff_inside_float_range_still_solves(tmp_path, capsys):

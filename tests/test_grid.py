@@ -22,8 +22,8 @@ from ultrafrac import (
     dalpha_domain,
     ialpha_domain,
     qpow,
-    running_sums,
 )
+from ultrafrac.grid import sweep
 from helpers import (
     GrowthKind,
     ascending_upper_sum,
@@ -32,6 +32,7 @@ from helpers import (
     check_growth_conditions,
     constant_function,
     indicator_unit_ball,
+    running_sums,
     shell_measure,
     weighted_tail_sum,
 )
@@ -351,6 +352,54 @@ def test_tail_layer_keeps_its_bits():
         "1b1c61cf5cec8461cc14638ff54e2a215ffbcd74b0656cc76d6bddb55460c750")
     assert digests["upper"].hexdigest() == (
         "6d1f82abbc45d194fbbd122f71c0e96dfacb94fc572ce3bb66a27e0d6a66f0f9")
+
+
+class _Counting:
+    """Stand-in accumulator whose value is the shell it stands at; it logs
+    each start and the shell of each push, and checks the value pushed."""
+
+    def __init__(self, f, side, n, log):
+        self.f, self.step, self.value, self.log = f, 1 if side == "lower" else -1, n, log
+        log.append(("start", n))
+
+    def push(self, v):
+        assert v == self.f.eval(self.value)
+        self.log.append(("push", self.value))
+        self.value += self.step
+        return self.value
+
+
+# windows below, at, across and above both edges of the window [-2, 1]
+_SWEEP_WINDOWS = [(-7, -3), (-6, -2), (-2, -2), (-5, 4), (-2, 3), (-1, 0),
+                  (0, 5), (1, 1), (2, 6), (3, 7)]
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("n_lo,n_hi", _SWEEP_WINDOWS)
+def test_sweep_starts_fresh_up_to_the_edge_then_runs(side, n_lo, n_hi):
+    # fresh starts for the shells up to the edge, one run started at the
+    # edge, and each value between the edge and the far end pushed once, in
+    # walk order: ascending for a lower sweep, descending for an upper one
+    f = RadialFunction.from_values(2, -2, [1.0, 2.0, 3.0, 4.0],
+                                   lower_tail=TailSpec.power_law(5.0, 0.5),
+                                   upper_tail=TailSpec.power_law(6.0, -0.5))
+    log = []
+    got = sweep(lambda n: _Counting(f, side, n, log), f, side, n_lo, n_hi)
+    assert got == list(range(n_lo, n_hi + 1))
+    step, edge = (1, -2) if side == "lower" else (-1, 1)
+    walk = list(range(n_lo, n_hi + 1))[::step]
+    want = [("start", n) for n in walk if step * n <= step * edge]
+    if step * walk[-1] > step * edge:
+        want += [("start", edge)] + [("push", k) for k in range(edge, walk[-1], step)]
+    assert log == want
+
+
+def test_sweep_rejects_a_bad_side():
+    f = RadialFunction.from_values(2, -2, [1.0, 2.0])
+    log = []
+    with pytest.raises(ValueError, match="side must be"):
+        sweep(lambda n: _Counting(f, "lower", n, log), f, "left", -3, 3)
+    assert log == []
 
 
 def test_tail_spec_family():
