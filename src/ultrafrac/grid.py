@@ -284,11 +284,11 @@ def sweep(start: Callable[[int], Any], f: RadialFunction, side: str,
     x_edge = step * edge
     out = [start(step * x).value for x in range(x_lo, min(x_hi, x_edge) + 1)]
     if x_hi > x_edge:
-        run = start(edge)
-        for x in range(x_edge + 1, x_hi + 1):
-            v = run.push(f.eval(step * (x - 1)))
-            if x >= x_lo:
-                out.append(v)
+        # the value at x + 1 is the run's after pushing f at x
+        push, ev = start(edge).push, f.eval
+        for x in range(x_edge, x_lo - 1):  # shells ahead of the window
+            push(ev(step * x))
+        out += [push(ev(step * x)) for x in range(max(x_edge, x_lo - 1), x_hi)]
     return out if step == 1 else out[::-1]
 
 
