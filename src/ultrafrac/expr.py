@@ -10,9 +10,11 @@ than unary minus, so -2^2 = -(2^2) and 2^-2 = 2^(-2)):
     atom   :=  NUMBER | IDENT '(' expr (',' expr)* ')' | IDENT | '(' expr ')'
 
 Identifiers are the declared variables (by default r and x), the constant
-q, and the function names sin cos tanh exp log abs min max pow.  Printing
+q, and the function names sin cos tanh exp log abs min max pow.  An
+expression nests at most :data:`MAX_DEPTH` levels deep.  Printing
 a tree produces a fully parenthesized form that re-parses to an identical
-tree.  :func:`make_callable` compiles a tree once into nested closures.
+tree when those parentheses keep it within that depth.
+:func:`make_callable` compiles a tree once into nested closures.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "BinOp",
     "Call",
     "FUNCTIONS",
+    "MAX_DEPTH",
     "parse_expression",
     "make_callable",
 ]
@@ -43,6 +46,13 @@ FUNCTIONS: dict[str, int] = {
 }
 
 _CONSTANTS = ("q",)
+
+#: the deepest nesting an expression may have.  Each operator, unary minus,
+#: function call and pair of parentheses is one level above its operands,
+#: so ``x`` has depth 1 and ``-(x+1)`` depth 4.  The bound keeps the
+#: recursion of the parser, the compiler and every evaluation far inside
+#: Python's default recursion limit.
+MAX_DEPTH = 100
 
 
 class RhsExpr:
@@ -98,8 +108,7 @@ class Call(RhsExpr):
 
 # --- tokenizer -------------------------------------------------------------
 
-_SINGLE = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "^",
-           "(": "(", ")": ")", ",": ","}
+_SINGLE = "+-*/^(),"
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,7 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if ch in _SINGLE:
-            toks.append(_Token(_SINGLE[ch], ch, i))
+            toks.append(_Token(ch, ch, i))
             i += 1
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
@@ -185,34 +194,56 @@ class _Parser:
             raise self.fail((kind,))
         return self.advance()
 
-    def expr(self) -> RhsExpr:
-        node = self.term()
+    # Each rule parses at ``depth``, the number of levels known to lie above
+    # it, and returns its node with its height in levels.  An operand cannot
+    # be shallower than one level, and a binary node's height is known once
+    # both operands are parsed, so these two checks raise exactly when the
+    # whole expression is deeper than MAX_DEPTH.
+
+    def too_deep(self, tok: _Token) -> ExprSyntaxError:
+        return ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                               _byte_offset(self.text, tok.pos))
+
+    def join(self, op: _Token, depth: int, left: int, right: int) -> int:
+        height = 1 + max(left, right)
+        if depth + height > MAX_DEPTH:
+            raise self.too_deep(op)
+        return height
+
+    def expr(self, depth: int) -> tuple[RhsExpr, int]:
+        node, height = self.term(depth)
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.term())
-        return node
+            op = self.advance()
+            right, h = self.term(depth + 1)
+            node, height = BinOp(op.kind, node, right), self.join(op, depth, height, h)
+        return node, height
 
-    def term(self) -> RhsExpr:
-        node = self.unary()
+    def term(self, depth: int) -> tuple[RhsExpr, int]:
+        node, height = self.unary(depth)
         while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.unary())
-        return node
+            op = self.advance()
+            right, h = self.unary(depth + 1)
+            node, height = BinOp(op.kind, node, right), self.join(op, depth, height, h)
+        return node, height
 
-    def unary(self) -> RhsExpr:
+    def unary(self, depth: int) -> tuple[RhsExpr, int]:
+        if depth >= MAX_DEPTH:  # every operand passes here
+            raise self.too_deep(self.peek())
         if self.peek().kind == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node, height = self.unary(depth + 1)
+            return Neg(node), height + 1
+        return self.power(depth)
 
-    def power(self) -> RhsExpr:
-        base = self.atom()
+    def power(self, depth: int) -> tuple[RhsExpr, int]:
+        base, height = self.atom(depth)
         if self.peek().kind == "^":
-            self.advance()
-            return BinOp("^", base, self.unary())
-        return base
+            op = self.advance()
+            exponent, h = self.unary(depth + 1)
+            return BinOp("^", base, exponent), self.join(op, depth, height, h)
+        return base, height
 
-    def atom(self) -> RhsExpr:
+    def atom(self, depth: int) -> tuple[RhsExpr, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
@@ -223,35 +254,35 @@ class _Parser:
                 raise ExprSyntaxError("malformed number literal", offset, ("digit",)) from None
             if math.isinf(value):
                 raise ExprSyntaxError("number literal out of float range", offset)
-            return Num(value)
+            return Num(value), 1
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            node, height = self.expr(depth + 1)
             self.expect(")")
-            return node
+            return node, height + 1
         if tok.kind == "ident":
             self.advance()
             if self.peek().kind == "(":
                 if tok.text not in FUNCTIONS:
                     raise ExprNameError(tok.text, _byte_offset(self.text, tok.pos))
                 self.advance()
-                args = [self.expr()]
+                args = [self.expr(depth + 1)]
                 while self.peek().kind == ",":
                     self.advance()
-                    args.append(self.expr())
+                    args.append(self.expr(depth + 1))
                 self.expect(")")
                 arity = FUNCTIONS[tok.text]
                 if len(args) != arity:
                     raise ExprSyntaxError(
                         f"{tok.text} expects {arity} argument(s), got {len(args)}",
                         _byte_offset(self.text, tok.pos), ())
-                return Call(tok.text, tuple(args))
+                return Call(tok.text, tuple(a for a, _ in args)), 1 + max(h for _, h in args)
             if tok.text in FUNCTIONS:
                 raise ExprSyntaxError(f"function {tok.text} needs arguments",
                                       _byte_offset(self.text, tok.pos), ("(",))
             if tok.text not in self.names:
                 raise ExprNameError(tok.text, _byte_offset(self.text, tok.pos))
-            return Var(tok.text)
+            return Var(tok.text), 1
         raise self.fail(("number", "identifier", "(", "-"))
 
 
@@ -259,10 +290,12 @@ def parse_expression(text: str, variables: tuple[str, ...] = ("r", "x")) -> RhsE
     """Parse an expression over the given variables (plus the constant q).
 
     Raises :class:`ExprSyntaxError` with the byte offset and expected-token
-    set, or :class:`ExprNameError` for unknown identifiers.
+    set, or :class:`ExprNameError` for unknown identifiers.  An expression
+    nested deeper than :data:`MAX_DEPTH` raises :class:`ExprSyntaxError` at
+    the byte offset of the token that takes it past that depth.
     """
     parser = _Parser(text, variables)
-    node = parser.expr()
+    node, _ = parser.expr(0)
     if parser.peek().kind != "eof":
         raise parser.fail(("end of input", "operator"))
     return node

@@ -134,7 +134,7 @@ class RadialFunction:
     ``eval`` is total on the integers: window lookup inside [k_min, k_max],
     tail formula outside.  ``value_at_zero`` is the value at the field point
     t = 0 (not a shell); operators read shells only, the zero value feeds
-    continuity checks and constant splits.
+    the continuity check.
     """
 
     grid: RadialGrid
@@ -154,12 +154,6 @@ class RadialFunction:
         if lt.c != 0.0 and lt.e > 0.0 and self.value_at_zero != 0.0:
             # u(q**k) -> 0 as k -> -inf, so continuity at 0 forces u(0) = 0
             raise ValueError("decaying power-law lower tail requires value_at_zero == 0")
-
-    @classmethod
-    def constant(cls, grid: RadialGrid, c: float) -> "RadialFunction":
-        """The function identically equal to c on all of q**Z and at 0."""
-        return cls(grid, (float(c),) * grid.size, float(c),
-                   TailSpec.constant(c), TailSpec.constant(c))
 
     @classmethod
     def from_values(cls, q: int, k_min: int, values: Sequence[float],
@@ -182,24 +176,6 @@ class RadialFunction:
         return RadialFunction(self.grid, self.values, self.value_at_zero,
                               lower if lower is not None else self.lower_tail,
                               upper if upper is not None else self.upper_tail)
-
-    def minus_constant(self, c: float) -> "RadialFunction":
-        """Subtract a constant everywhere (shells, tails and the zero value).
-
-        Only tails with e = 0 or c = 0 can absorb the shift; subtracting a
-        constant from a genuine power-law tail leaves the model family.
-        """
-        if c == 0.0:
-            return self
-
-        def shift(tail: TailSpec) -> TailSpec:
-            if tail.e != 0.0 and not tail.is_null():
-                raise ValueError("cannot subtract a constant from a power-law tail")
-            return TailSpec.constant(tail.c - c)
-
-        return RadialFunction(self.grid, tuple(v - c for v in self.values),
-                              self.value_at_zero - c,
-                              shift(self.lower_tail), shift(self.upper_tail))
 
 
 def _tail_series(tail: TailSpec, q: int, w: float, side: str, anchor: int) -> float:
@@ -309,9 +285,6 @@ class ConditionReport:
     @property
     def ok(self) -> bool:
         return all(e.passed for e in self.entries)
-
-    def failures(self) -> tuple[ConditionEntry, ...]:
-        return tuple(e for e in self.entries if not e.passed)
 
     def __str__(self) -> str:
         lines = [f"[{self.kind}] {'ok' if self.ok else 'FAILED'}"]

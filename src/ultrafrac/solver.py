@@ -141,10 +141,6 @@ class MildSolution:
     def picard_iterations(self) -> int:
         return len(self.picard_history)
 
-    @property
-    def picard_frontier(self) -> int:
-        return self.grid.k_max - len(self.fp_iterations)
-
     def value(self, k: int) -> float:
         if not self.k_min <= k <= self.frontier:
             raise ValueError(f"shell {k} outside solved window "

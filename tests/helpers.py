@@ -4,7 +4,6 @@ hypotheses, lower-tail fit and sampled rhs checks that only tests use."""
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 import struct
@@ -17,7 +16,6 @@ from ultrafrac import (
     TailSpec,
     apply_dalpha,
     apply_ialpha,
-    dalpha_domain,
     diag_coeff,
     fit_upper_tail,
     ialpha_domain,
@@ -69,7 +67,9 @@ def random_compact(rnd: random.Random, q: int, max_width: int = 12,
 
 
 def constant_function(q: int, c: float, window=(-2, 2)) -> RadialFunction:
-    return RadialFunction.constant(RadialGrid(q, window[0], window[1]), c)
+    """The function identically equal to c on all of q**Z and at 0."""
+    grid = RadialGrid(q, window[0], window[1])
+    return RadialFunction(grid, (c,) * grid.size, c, TailSpec.constant(c), TailSpec.constant(c))
 
 
 def indicator_unit_ball(q: int) -> RadialFunction:
@@ -184,6 +184,11 @@ def v0_at(sol, rhs, alpha: float, N: int) -> float:
     return _offdiag_at(phi, alpha, N + 1)
 
 
+def picard_frontier(sol) -> int:
+    """The last shell of the Picard stage: every later shell was continued."""
+    return sol.frontier - len(sol.fp_iterations)
+
+
 def continue_by_rebuild(sol, rhs, alpha: float, k_max: int, tol: float = 1e-12,
                         max_iter: int = 200) -> tuple[list[float], dict[int, int]]:
     """Shell continuation that rebuilds f(., u) and rescans it at every step.
@@ -234,33 +239,17 @@ def ball_power_integral(grid: RadialGrid, n: int, a: float) -> float:
     return (1.0 - 1.0 / q) / (1.0 - qpow(q, -a)) * qpow(q, a * n)
 
 
-class GrowthKind(enum.Enum):
-    """The growth-condition sets: the two operator domains, checked by
-    ``ultrafrac.dalpha_domain`` and ``ultrafrac.ialpha_domain``, plus the
-    inverse-property hypotheses that only tests check."""
-
-    DALPHA_DOMAIN = "dalpha_domain"
-    IALPHA_DOMAIN = "ialpha_domain"
-    RIGHT_INVERSE = "right_inverse"
-    LEFT_INVERSE = "left_inverse_hypotheses"
+def right_inverse_conditions(f: RadialFunction, alpha: float) -> ConditionReport:
+    """The integral's domain conditions plus absolute summability above:
+    the hypotheses under which the integral is a right inverse."""
+    entries = ialpha_domain(f, alpha).entries + (
+        series_entry("upper sum |u|", f.upper_tail, 0.0, "upper"),)
+    return ConditionReport("right_inverse", entries)
 
 
-def check_growth_conditions(f: RadialFunction, alpha: float,
-                            kind: GrowthKind) -> ConditionReport:
-    """``dalpha_domain`` or ``ialpha_domain`` for the operator domains, plus:
-
-    RIGHT_INVERSE: the integral's domain conditions plus absolute
-    summability above.  LEFT_INVERSE: the two-exponent decay hypotheses
-    under which the integral is also a left inverse, including u(0) = 0.
-    """
-    if kind is GrowthKind.DALPHA_DOMAIN:
-        return dalpha_domain(f, alpha)
-    if kind is GrowthKind.IALPHA_DOMAIN:
-        return ialpha_domain(f, alpha)
-    if kind is GrowthKind.RIGHT_INVERSE:
-        domain = ialpha_domain(f, alpha)
-        entries = domain.entries + (series_entry("upper sum |u|", f.upper_tail, 0.0, "upper"),)
-        return ConditionReport(kind.value, entries)
+def left_inverse_conditions(f: RadialFunction, alpha: float) -> ConditionReport:
+    """The two-exponent decay hypotheses under which the integral is also a
+    left inverse, including u(0) = 0."""
     lo, up = f.lower_tail, f.upper_tail
     entries = [ConditionEntry(
         "value at zero", f.value_at_zero == 0.0,
@@ -283,7 +272,7 @@ def check_growth_conditions(f: RadialFunction, alpha: float,
         entries.append(ConditionEntry(
             "upper growth exponent", ok,
             f"requires {need}; effective h = {h:g}"))
-    return ConditionReport(kind.value, tuple(entries))
+    return ConditionReport("left_inverse_hypotheses", tuple(entries))
 
 
 def fit_power_tails(f: RadialFunction) -> RadialFunction:
@@ -432,6 +421,18 @@ def eval_by_tree_walk(node, q, variables: tuple[str, ...], *args: float) -> floa
         return _finite(_IMPL[n.name](*vals), n.name)
 
     return walk(node)
+
+
+#: one way of nesting per name: an expression over x of exactly ``depth``
+#: levels, and the byte offset at which ``parse_expression`` refuses it
+#: when ``depth`` is one past ``MAX_DEPTH``
+NESTINGS = {
+    "parentheses": (lambda d: "(" * (d - 1) + "x" + ")" * (d - 1), lambda d: d - 1),
+    "sums": (lambda d: "+".join(["x"] * d), lambda d: 2 * d - 3),
+    "unary minus": (lambda d: "-" * (d - 1) + "x", lambda d: d - 1),
+    "power tower": (lambda d: "x" + "^1" * (d - 1), lambda d: 2 * (d - 1)),
+    "nested calls": (lambda d: "tanh(" * (d - 1) + "x" + ")" * (d - 1), lambda d: 5 * (d - 1)),
+}
 
 
 def csv_text_by_value(header: list[str], rows: list[tuple]) -> str:

@@ -8,7 +8,9 @@ integral uses the kernel of its definition,
     front * (q^((a-1)n) - q^((a-1)j)),  front = (1 - q^-a)/(1 - q^(a-1)),
 
 or (1 - q)/(q ln q) * (n - j) ln q at a == 1 exactly, not the package's
-recurrence, and sums geometric tails in closed form.  Rerunning at 80
+recurrence.  The derivative integrates its hypersingular definition
+sphere by sphere, as ``dalpha_oracle`` does, not the package's three-part
+series.  Both sum geometric tails in closed form.  Rerunning at 80
 digits (``CHECK_PREC``) bounds the reference's own error.
 """
 
@@ -118,6 +120,38 @@ def ialpha(u, alpha: float, n: int, prec: int = PREC) -> tuple[Decimal, Decimal]
         terms = [_pow(q, Decimal(alpha) * (n - 1)) * _eval(u, n),
                  _lower_tail_part(u, alpha, n, top)]
         terms += [_kernel_weight(alpha, q, n, j) * _eval(u, j) for j in range(top, n)]
+        return +sum(terms), +sum(abs(t) for t in terms)
+
+
+def dalpha(u, alpha: float, n: int, prec: int = PREC) -> tuple[Decimal, Decimal]:
+    """(D^a u)(q^n) and the sum of the absolute values of its terms.
+
+    theta * int |y|^(-a-1) (u(|x - y|) - u(|x|)) dy with |x| = q^n, theta =
+    (1 - q^a)/(1 - q^(-a-1)): the ball |y| < q^n contributes nothing, the
+    sphere |y| = q^n has |x - y| = q^m on a set of measure (1 - 1/q) q^m for
+    each m < n, and every sphere |y| = q^l > q^n has |x - y| = q^l.  The
+    terms are one per explicit shell m < n and l > n, the value at n with
+    every weight that multiplies it, and the closed forms of the tails below
+    min(n, k_min) and above max(n, k_max).
+    """
+    with localcontext() as ctx:
+        ctx.prec = prec
+        q, g = u.grid.q, u.grid
+        a = Decimal(alpha)
+        one = 1 - Decimal(1) / q
+        th = (1 - _pow(q, a)) / (1 - _pow(q, -a - 1))
+        below = th * one * _pow(q, -(a + 1) * n)   # times q^m u(q^m), m < n
+        above = th * one                           # times q^(-a l) u(q^l), l > n
+        bottom, top = min(n, g.k_min), max(n, g.k_max)
+        terms = [-th * _eval(u, n) * (_pow(q, -a * n - 1)
+                                      + one * _pow(q, -a * (n + 1)) / (1 - _pow(q, -a)))]
+        terms += [below * _pow(q, m) * _eval(u, m) for m in range(bottom, n)]
+        terms += [above * _pow(q, -a * l) * _eval(u, l) for l in range(n + 1, top + 1)]
+        low, up = u.lower_tail, u.upper_tail
+        if low.c != 0.0:  # sum_{m < bottom} q^((1+e) m)
+            terms.append(below * Decimal(low.c) * _geom(q, 1 + Decimal(low.e), bottom))
+        if up.c != 0.0:  # sum_{l > top} q^((e-a) l) = sum_{j < -top} q^((a-e) j)
+            terms.append(above * Decimal(up.c) * _geom(q, a - Decimal(up.e), -top))
         return +sum(terms), +sum(abs(t) for t in terms)
 
 

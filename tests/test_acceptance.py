@@ -118,7 +118,9 @@ def test_criterion_3_left_inverse():
             v0 = 2.5
             v = RadialFunction(u.grid, tuple(x + v0 for x in u.values), v0,
                                TailSpec.constant(v0), TailSpec.constant(v0))
-            g = v.minus_constant(v.value_at_zero)
+            g = RadialFunction(v.grid, tuple(x - v0 for x in v.values), 0.0,
+                               TailSpec.constant(v.lower_tail.c - v0),
+                               TailSpec.constant(v.upper_tail.c - v0))
             out = integral_of_derivative(g, alpha, (-12, 12))
             if feasible:
                 err = max(abs(gv - (v.eval(n) - v0)) / abs(v.eval(n) - v0)

@@ -17,7 +17,8 @@ import ultrafrac.cli as cli
 import ultrafrac.solver as solver
 from ultrafrac.cli import _EXIT_TABLE, _csv_text, exit_code_for, load_config, main
 from ultrafrac.errors import ConfigError, MissingBeta, NoContraction
-from helpers import csv_text_by_value
+from ultrafrac.expr import MAX_DEPTH
+from helpers import NESTINGS, csv_text_by_value, picard_frontier
 
 DATA = Path(__file__).parent / "data"
 
@@ -227,7 +228,7 @@ def test_f_is_formed_once_per_solved_shell(tmp_path, monkeypatch, command, confi
     assert out.read_bytes() == (DATA / config.replace("catalog", "golden")
                                 .replace(".cfg", ".csv")).read_bytes()
     sol = solutions[-1]
-    picard_shells = sol.picard_frontier - sol.k_min + 1
+    picard_shells = picard_frontier(sol) - sol.k_min + 1
     assert calls[0] == (sol.picard_iterations * picard_shells
                         + sum(sol.fp_iterations.values()) + sol.grid.size)
 
@@ -450,6 +451,27 @@ def test_malformed_expressions_exit_3(tmp_path, bad, capsys):
         assert rc == 3
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_rhs_nesting_limit(tmp_path, capsys, kind, command):
+    # the catalog form 0.1*tanh(X)*min(1, r^-2) is three levels above X
+    def config(depth):
+        rhs = f"0.1*tanh({NESTINGS[kind][0](depth - 3)})*min(1, r^-2)"
+        return write_cfg(tmp_path, BASE.replace("0.1*tanh(x)*min(1, r^-2)", rhs),
+                         name=f"depth{depth}.cfg")
+
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", config(MAX_DEPTH), "--out", str(out)]) == 0
+    assert out.exists() and capsys.readouterr().err == ""
+    out.unlink()
+    assert main([command, "--config", config(MAX_DEPTH + 1), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[ExprSyntaxError]: expression nested deeper than {MAX_DEPTH} "
+                          "levels at byte ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_exit_codes_map(tmp_path, capsys):
@@ -704,3 +726,12 @@ def test_every_accepted_config_ends_in_a_result_or_a_documented_exit(case):
         else:
             want = cfg.get("k_max", cfg["N"]) - cfg["k_min"] + 1
         assert len(rows) == want
+
+
+def test_run_rejects_an_unknown_command(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, BASE))
+    with pytest.raises(ConfigError) as info:
+        cli.run(cfg, "integrate", str(tmp_path / "out.csv"))
+    assert str(info.value) == ("unknown command 'integrate'; expected one of "
+                               "('apply-d', 'apply-i', 'solve', 'verify', 'constants')")
+    assert not (tmp_path / "out.csv").exists()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import struct
 
 import pytest
@@ -19,8 +20,8 @@ from ultrafrac import (
     parse_expression,
     qpow,
 )
-from ultrafrac.expr import BinOp, Call, Neg, Num, Var
-from helpers import eval_by_tree_walk
+from ultrafrac.expr import MAX_DEPTH, BinOp, Call, Neg, Num, Var
+from helpers import NESTINGS, eval_by_tree_walk
 
 MALFORMED = [
     "",
@@ -133,6 +134,18 @@ def test_unknown_identifier_error():
     parse_expression("l + 1", ("l",))          # declared variables are accepted
     with pytest.raises(ExprNameError):
         parse_expression("x + 1", ("l",))
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_nesting_past_the_limit_is_a_syntax_error(kind):
+    # the deepest expression parses, compiles and evaluates as the tree walk
+    # does; one level more is refused at the token that makes it too deep
+    nest, offset = NESTINGS[kind]
+    tree = parse_expression(nest(MAX_DEPTH))
+    assert make_callable(tree, 2)(1.0, 0.5) == eval_by_tree_walk(tree, 2, ("r", "x"), 1.0, 0.5)
+    with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH} levels") as err:
+        parse_expression(nest(MAX_DEPTH + 1))
+    assert err.value.offset == offset(MAX_DEPTH + 1)
 
 
 def test_evaluation_errors_are_typed():
@@ -273,3 +286,9 @@ def test_catalog_expressions_keep_their_bits():
     assert len(out) == 1530
     digest = hashlib.sha256(struct.pack(f"<{len(out)}d", *out)).hexdigest()
     assert digest == "ee57c10864f862988594bbe4c6314e030263b047c62d447ad280e13d79959991"
+
+
+@pytest.mark.parametrize("node", ["x", 1.5, None])
+def test_make_callable_rejects_a_non_node(node):
+    with pytest.raises(TypeError, match=rf"^not an expression node: {re.escape(repr(node))}$"):
+        make_callable(node, 2)

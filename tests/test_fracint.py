@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultrafrac import (
+    DivergentTail,
     DomainViolation,
     RadialFunction,
     RadialGrid,
@@ -20,11 +21,13 @@ from ultrafrac import (
     dalpha_oracle,
     bound_constant,
     front_coeff,
+    ialpha_domain,
     ialpha_oracle,
     kernel_constant,
     picard_solve,
     qpow,
 )
+from ultrafrac.fracint import KernelSum
 import reference
 from helpers import (
     bits,
@@ -323,8 +326,30 @@ def test_constant_shift_recovers_function_minus_constant(q, alpha):
                        TailSpec.constant(v0), TailSpec.constant(v0))
     # the stored value at 0 carries the constant; split it off exactly,
     # differentiate, integrate back
-    g = v.minus_constant(v.value_at_zero)
+    g = RadialFunction(v.grid, tuple(x - v0 for x in v.values), 0.0,
+                       TailSpec.constant(v.lower_tail.c - v0),
+                       TailSpec.constant(v.upper_tail.c - v0))
     out = integral_of_derivative(g, alpha, (-12, 12))
     for n, got in zip(range(-12, 13), out.values):
         want = v.eval(n) - v0
         assert abs(got - want) <= 1e-8 * abs(want)
+
+
+_U = compact(2, -1, [1.0, -0.5, 2.0])
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: front_coeff(0.0, 2), ValueError, r"alpha must be positive, got 0\.0"),
+    (lambda: ialpha_domain(_U, -0.5), ValueError, r"alpha must be positive, got -0\.5"),
+    (lambda: ialpha_oracle(_U, 0.0, 0), ValueError, r"alpha must be positive, got 0\.0"),
+    (lambda: kernel_constant(0.5, -1, GRID5), ValueError,
+     r"m must be a nonnegative integer, got -1"),
+    (lambda: apply_ialpha(_U, 0.5, (3, 2)), ValueError, r"empty output window \[3, 2\]"),
+    # the sum S converges (alpha + e > 0) but G does not (1 + e <= 0)
+    (lambda: KernelSum(TailSpec.power_law(1.0, -1.2), 2, 1.5, 0), DivergentTail,
+     r"lower tail sum diverges: ratio q\^-\(1\+e\) = 1\.14\d* >= 1 \(tail exponent -1\.2\)"),
+], ids=["front_coeff", "ialpha_domain", "ialpha_oracle", "kernel_constant-m",
+        "apply_ialpha-window", "KernelSum-divergent"])
+def test_raises_name_their_cause(call, exc, message):
+    with pytest.raises(exc, match=f"^{message}$"):
+        call()

@@ -25,13 +25,13 @@ from ultrafrac import (
 )
 from ultrafrac.grid import sweep
 from helpers import (
-    GrowthKind,
     ascending_upper_sum,
     ball_power_integral,
     bits,
-    check_growth_conditions,
     constant_function,
     indicator_unit_ball,
+    left_inverse_conditions,
+    right_inverse_conditions,
     running_sums,
     shell_measure,
     weighted_tail_sum,
@@ -111,17 +111,6 @@ def test_continuity_invariant_enforced():
                                lower_tail=TailSpec.power_law(0.0, 0.5))
     RadialFunction.from_values(2, 0, [1.0], value_at_zero=1.0,
                                lower_tail=TailSpec.constant(1.0))
-
-
-def test_minus_constant():
-    f = constant_function(2, 3.0)
-    g = f.minus_constant(3.0)
-    assert all(v == 0.0 for v in g.values)
-    assert g.lower_tail.is_null() and g.upper_tail.is_null()
-    assert g.value_at_zero == 0.0
-    with pytest.raises(ValueError):
-        RadialFunction.from_values(
-            2, 0, [1.0], lower_tail=TailSpec.power_law(1.0, 1.0)).minus_constant(1.0)
 
 
 def test_qpow_overflow_is_a_typed_range_error():
@@ -408,14 +397,6 @@ def test_tail_spec_family():
     assert TailSpec.constant(0.0) == TailSpec.zero()
     assert TailSpec.zero().is_null() and TailSpec.power_law(0.0, 2.0).is_null()
     assert not TailSpec.power_law(1.5, 0.0).is_null()
-    f = RadialFunction.from_values(2, 0, [2.0, 3.0], value_at_zero=2.0,
-                                   lower_tail=TailSpec.power_law(2.0, 0.0),
-                                   upper_tail=TailSpec.power_law(3.0, 0.0))
-    g = f.minus_constant(2.0)
-    assert g.lower_tail == TailSpec.zero() and g.upper_tail == TailSpec.constant(1.0)
-    assert g.values == (0.0, 1.0) and g.value_at_zero == 0.0
-    with pytest.raises(ValueError):
-        f.with_tails(upper=TailSpec.power_law(3.0, -0.5)).minus_constant(2.0)
 
 
 @pytest.mark.parametrize("c,e", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.5),
@@ -430,17 +411,18 @@ def test_non_finite_tails_fail_at_construction(c, e):
 
 def test_growth_conditions_compact_support_passes_everything():
     f = RadialFunction.from_values(2, -1, [1.0, 2.0, 3.0])
-    for kind in GrowthKind:
-        assert check_growth_conditions(f, 0.5, kind).ok
+    for conditions in (dalpha_domain, ialpha_domain, right_inverse_conditions,
+                       left_inverse_conditions):
+        assert conditions(f, 0.5).ok
 
 
 def test_growth_conditions_constant_fails_right_inverse():
     f = constant_function(2, 1.0)
-    report = check_growth_conditions(f, 0.5, GrowthKind.RIGHT_INVERSE)
+    report = right_inverse_conditions(f, 0.5)
     assert not report.ok
-    assert any("upper" in e.name for e in report.failures())
+    assert any("upper" in e.name for e in report.entries if not e.passed)
     # but constants are inside the derivative's domain
-    assert check_growth_conditions(f, 0.5, GrowthKind.DALPHA_DOMAIN).ok
+    assert dalpha_domain(f, 0.5).ok
 
 
 def test_growth_conditions_proposition_exponent_ranges():
@@ -448,45 +430,46 @@ def test_growth_conditions_proposition_exponent_ranges():
         f = RadialFunction.from_values(
             3, 0, [1.0, 1.0], value_at_zero=0.0,
             lower_tail=TailSpec.power_law(1.0, e_low))
-        return check_growth_conditions(f, alpha, GrowthKind.LEFT_INVERSE)
+        return left_inverse_conditions(f, alpha)
 
     assert not family(0.2, 1.5).ok          # needs d > alpha - 1 = 0.5
     assert family(0.7, 1.5).ok
     assert not family(0.2, 1.5).entries[1].passed
     # nonzero value at 0 fails the hypotheses
     g = RadialFunction.from_values(3, 0, [1.0], value_at_zero=2.0)
-    rep = check_growth_conditions(g, 0.5, GrowthKind.LEFT_INVERSE)
+    rep = left_inverse_conditions(g, 0.5)
     assert not rep.ok and not rep.entries[0].passed
     # upper growth: h below alpha (and below alpha - 1 when alpha > 1)
     up = RadialFunction.from_values(
         3, 0, [1.0], value_at_zero=0.0, upper_tail=TailSpec.power_law(1.0, 0.8))
-    assert check_growth_conditions(up, 1.0, GrowthKind.LEFT_INVERSE).ok
-    assert not check_growth_conditions(up, 1.5, GrowthKind.LEFT_INVERSE).ok
-    assert check_growth_conditions(up, 2.5, GrowthKind.LEFT_INVERSE).ok
+    assert left_inverse_conditions(up, 1.0).ok
+    assert not left_inverse_conditions(up, 1.5).ok
+    assert left_inverse_conditions(up, 2.5).ok
 
 
 def test_growth_conditions_indicator_and_constant_examples():
     ind = indicator_unit_ball(2)
     # truncated version with zero tails passes the derivative domain
     trunc = RadialFunction.from_values(2, -8, [1.0] * 9)
-    assert check_growth_conditions(trunc, 0.5, GrowthKind.DALPHA_DOMAIN).ok
-    assert check_growth_conditions(ind, 0.5, GrowthKind.DALPHA_DOMAIN).ok
+    assert dalpha_domain(trunc, 0.5).ok
+    assert dalpha_domain(ind, 0.5).ok
     one = constant_function(2, 1.0)
-    assert not check_growth_conditions(one, 0.5, GrowthKind.RIGHT_INVERSE).ok
+    assert not right_inverse_conditions(one, 0.5).ok
 
 
-@pytest.mark.parametrize("kind", [GrowthKind.DALPHA_DOMAIN,
-                                  GrowthKind.IALPHA_DOMAIN,
-                                  GrowthKind.RIGHT_INVERSE])
+# ids as in earlier listings of the suite, so that results compare across commits
+@pytest.mark.parametrize("conditions", [dalpha_domain, ialpha_domain, right_inverse_conditions],
+                         ids=["GrowthKind.DALPHA_DOMAIN", "GrowthKind.IALPHA_DOMAIN",
+                              "GrowthKind.RIGHT_INVERSE"])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7])
-def test_growth_conditions_monotone_in_exponent(kind, alpha):
+def test_growth_conditions_monotone_in_exponent(conditions, alpha):
     # moving the exponent toward the feasible side never flips pass to fail
     def passes(e_low, e_up):
         f = RadialFunction.from_values(
             2, 0, [1.0], value_at_zero=0.0,
             lower_tail=TailSpec.power_law(1.0, e_low),
             upper_tail=TailSpec.power_law(1.0, e_up))
-        return check_growth_conditions(f, alpha, kind).ok
+        return conditions(f, alpha).ok
 
     es = [x / 4.0 for x in range(-12, 13)]
     lower_passes = [passes(e, -5.0) for e in es]       # upper tail kept feasible
@@ -522,3 +505,10 @@ def test_operators_raise_exactly_when_their_domain_fails(q, alpha):
                     op(f, alpha)
                 assert str(report) in str(info.value)
     assert len(seen) == 4  # both outcomes for both operators
+
+
+@pytest.mark.parametrize("values", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+def test_values_must_fill_the_window(values):
+    with pytest.raises(ValueError, match=rf"^expected 3 shell values for window \[0, 2\], "
+                                         rf"got {len(values)}$"):
+        RadialFunction(RadialGrid(2, 0, 2), values)

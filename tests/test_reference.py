@@ -1,5 +1,6 @@
 """Forward error against the decimal reference: the integral, its kernel
-constants and the Picard cutoff bound, at alpha = 1 and next to it."""
+constants and the Picard cutoff bound, at alpha = 1 and next to it, and
+the derivative."""
 
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ from ultrafrac import (
     RadialFunction,
     RadialGrid,
     TailSpec,
+    apply_dalpha,
     apply_ialpha,
     bound_constant,
+    dalpha_oracle,
     ialpha_oracle,
     kernel_constant,
 )
@@ -132,3 +135,54 @@ def test_truncation_bound_is_continuous_through_one(q):
         for delta in (10.0 ** -k, -(10.0 ** -k)):
             near = _truncation_bound(1.0 + delta, q, 0.2, -40, 5)
             assert abs(near / at_one - 1.0) <= 50.0 * abs(delta)
+
+
+def _dalpha_cases(seed: int, count: int):
+    """(alpha, u) with random q, alpha, window and values, and each tail
+    zero, constant or a power law inside the derivative's domain."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        q, alpha = rnd.choice((2, 3, 5)), rnd.choice((0.3, 0.5, 1.0, 1.7, 2.5))
+        width, k_min = rnd.randint(4, 30), rnd.randint(-15, 5)
+        values = [rnd.uniform(-1.0, 1.0) for _ in range(width)]
+        tails = []
+        for kind, e_range in ((rnd.choice(("zero", "constant", "power")), (-0.9, 1.5)),
+                              (rnd.choice(("zero", "constant", "power")), (-1.5, alpha - 0.1))):
+            c = rnd.uniform(-1.0, 1.0)
+            tails.append({"zero": TailSpec.zero(), "constant": TailSpec.constant(c),
+                          "power": TailSpec.power_law(c, rnd.uniform(*e_range))}[kind])
+        lower, upper = tails
+        yield alpha, RadialFunction.from_values(
+            q, k_min, values, lower.c if lower.e == 0.0 else 0.0, lower, upper)
+
+
+def test_dalpha_reference_checks_its_own_error():
+    for alpha, u in _dalpha_cases(5, 12):
+        for n in (u.grid.k_min - 2, u.grid.k_min + 1, u.grid.k_max + 2):
+            assert reference.self_error(lambda p: reference.dalpha(u, alpha, n, p)[0]) \
+                <= Decimal("1e-30")
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.7, 2.5])
+def test_dalpha_reference_agrees_with_the_oracle(alpha):
+    # two routes through the hypersingular integral, one of them in floats;
+    # the oracle's error, at most 36 eps sum |terms| here, is mostly qpow's
+    # exponent error at (a+1)|n| ln q up to 130
+    for q in (2, 3, 5):
+        u = next(_inputs(q, 40 * q + int(10 * alpha), width=12))  # the zero-tail input
+        for n in range(u.grid.k_min - 3, u.grid.k_max + 4):
+            ref, size = reference.dalpha(u, alpha, n)
+            assert abs(Decimal(dalpha_oracle(u, alpha, n)) - ref) <= Decimal(64 * EPS) * size
+
+
+def test_apply_dalpha_error_scaled_by_window_and_terms():
+    # W is the window width in shells.  200 seeded cases, 4,394 shells: the
+    # error reaches 5.4 W eps sum |terms|, where qpow's exponent error at
+    # shells far from 0 outweighs the W sums
+    worst = Decimal(0)
+    for alpha, u in _dalpha_cases(1, 200):
+        lo, hi = u.grid.k_min - 3, u.grid.k_max + 3
+        for n, got in zip(range(lo, hi + 1), apply_dalpha(u, alpha, (lo, hi)).values):
+            ref, size = reference.dalpha(u, alpha, n)
+            worst = max(worst, abs(Decimal(got) - ref) / (u.grid.size * Decimal(EPS) * size))
+    assert worst <= 10

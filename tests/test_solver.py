@@ -29,7 +29,14 @@ from ultrafrac import (
     verify_strict,
 )
 from ultrafrac.solver import _declared_constant_checks, _far_overflow_shell, _phi_function
-from helpers import bits, catalog_rhs, check_rhs_conditions, continue_by_rebuild, v0_at
+from helpers import (
+    bits,
+    catalog_rhs,
+    check_rhs_conditions,
+    continue_by_rebuild,
+    picard_frontier,
+    v0_at,
+)
 
 Q, ALPHA, U0 = 2, 0.5, 1.0
 
@@ -108,7 +115,7 @@ def test_mild_residuals_check_M_on_their_own_values_of_f(catalog_solution, M, ok
 
 def test_uniqueness_under_restart(catalog_solution):
     rhs, sol = catalog_solution
-    shifted = picard_solve(rhs, U0, ALPHA, Q, sol.picard_frontier,
+    shifted = picard_solve(rhs, U0, ALPHA, Q, picard_frontier(sol),
                            tol=1e-12, max_iter=60, start_offset=1.0)
     assert max(abs(a - b) for a, b in zip(sol.values, shifted.values)) <= 1e-10
 
@@ -178,7 +185,7 @@ def test_v0_constant_rhs_closed_form(q, alpha):
 
 def test_v0_matches_brute_force_extended_sum(catalog_solution):
     rhs, sol = catalog_solution
-    N = sol.picard_frontier
+    N = picard_frontier(sol)
     got = v0_at(sol, rhs, ALPHA, N)
     # brute force: explicit shell sum with 200 extra shells below the cutoff,
     # the constant tail model extended by hand
@@ -247,7 +254,7 @@ def test_continuation_and_verification_read_the_problem_from_the_solution(catalo
     assert ext.rhs is rhs and (ext.alpha, ext.u0) == (ALPHA, U0)
     # the Picard diagnostics survive continuation
     assert ext.picard_iterations == sol.picard_iterations == len(sol.picard_history)
-    assert ext.picard_frontier == sol.picard_frontier == sol.frontier
+    assert picard_frontier(ext) == picard_frontier(sol) == sol.frontier
     assert sorted(ext.fp_iterations) == list(range(sol.frontier + 1, 15))
     # the same values carrying another problem continue as that problem:
     # with f = 0 each new shell is u0 and its factor is q^(a l) F
@@ -578,3 +585,19 @@ def test_readme_library_example_runs(capsys):
     assert report.ok
     assert report.max_residual <= 1e-8 * (1.0 + rhs.M)
     assert capsys.readouterr().out.startswith("[dalpha_domain] ok\n")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: picard_solve(catalog_rhs(), U0, 0.0, Q, 0), r"alpha must be positive, got 0\.0"),
+    (lambda: picard_solve(catalog_rhs(), U0, ALPHA, Q, 0, tol=0.0), r"tol must be positive"),
+    (lambda: picard_solve(catalog_rhs(), U0, ALPHA, Q, 0, max_iter=0),
+     r"max_iter must be at least 1"),
+    (lambda: verify_strict(picard_solve(catalog_rhs(), U0, ALPHA, Q, 0), (3, 2)),
+     r"empty verification window \[3, 2\]"),
+    (lambda: picard_solve(catalog_rhs(), U0, ALPHA, Q, 0).value(1),
+     r"shell 1 outside solved window \[-\d+, 0\]"),
+], ids=["picard_solve-alpha", "picard_solve-tol", "picard_solve-max_iter",
+        "verify_strict-window", "MildSolution.value"])
+def test_raises_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -17,21 +17,23 @@ from ultrafrac import (
     TailSpec,
     apply_dalpha,
     apply_ialpha,
+    dalpha_domain,
     dalpha_oracle,
     diag_coeff,
+    fit_upper_tail,
     qpow,
     theta,
 )
 from helpers import (
-    GrowthKind,
     bits,
-    check_growth_conditions,
     compact,
     constant_function,
     dalpha_by_shell,
     fit_power_tails,
     indicator_unit_ball,
+    left_inverse_conditions,
     random_compact,
+    right_inverse_conditions,
 )
 
 
@@ -284,7 +286,33 @@ def test_derivative_decay_matches_left_inverse_hypotheses(alpha, d, h):
         value_at_zero=0.0,
         lower_tail=TailSpec.power_law(1.0, d),
         upper_tail=TailSpec.power_law(1.0, h))
-    assert check_growth_conditions(u, alpha, GrowthKind.LEFT_INVERSE).ok
+    assert left_inverse_conditions(u, alpha).ok
     w = apply_dalpha(u, alpha, (-15, 15))
     w_fit = fit_power_tails(w)
-    assert check_growth_conditions(w_fit, alpha, GrowthKind.RIGHT_INVERSE).ok
+    assert right_inverse_conditions(w_fit, alpha).ok
+
+
+_U = compact(2, -1, [1.0, -0.5, 2.0])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: theta(0.0, 2), r"alpha must be positive, got 0\.0"),
+    (lambda: diag_coeff(-1.0, 3), r"alpha must be positive, got -1\.0"),
+    (lambda: dalpha_domain(_U, 0.0), r"alpha must be positive, got 0\.0"),
+    (lambda: dalpha_oracle(_U, -0.5, 0), r"alpha must be positive, got -0\.5"),
+    (lambda: apply_dalpha(_U, 0.5, (3, 2)), r"empty output window \[3, 2\]"),
+    (lambda: fit_upper_tail(compact(2, 0, [1.0])),
+     r"tail fitting needs at least two window values"),
+], ids=["theta", "diag_coeff", "dalpha_domain", "dalpha_oracle", "apply_dalpha-window",
+        "fit_upper_tail-one-shell"])
+def test_raises_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("edge", [0.0, -0.0])
+def test_fit_upper_tail_of_a_zero_edge_is_zero(edge):
+    fitted = fit_upper_tail(compact(3, -2, [1.0, 2.0, edge]).with_tails(
+        upper=TailSpec.constant(5.0)))
+    assert fitted.upper_tail == TailSpec.zero()
+    assert fitted.values == (1.0, 2.0, edge)
