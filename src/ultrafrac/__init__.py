@@ -29,7 +29,6 @@ from .expr import FUNCTIONS, RhsExpr, make_callable, parse_expression
 from .fracint import (
     apply_ialpha,
     bound_constant,
-    front_coeff,
     ialpha_domain,
     ialpha_oracle,
     kernel_constant,

@@ -11,9 +11,7 @@ than unary minus, so -2^2 = -(2^2) and 2^-2 = 2^(-2)):
 
 Identifiers are the declared variables (by default r and x), the constant
 q, and the function names sin cos tanh exp log abs min max pow.  An
-expression nests at most :data:`MAX_DEPTH` levels deep.  Printing
-a tree produces a fully parenthesized form that re-parses to an identical
-tree when those parentheses keep it within that depth.
+expression nests at most :data:`MAX_DEPTH` levels deep.
 :func:`make_callable` compiles a tree once into nested closures.
 """
 
@@ -67,24 +65,15 @@ class RhsExpr:
 class Num(RhsExpr):
     value: float
 
-    def __str__(self) -> str:
-        return repr(self.value)
-
 
 @dataclass(frozen=True)
 class Var(RhsExpr):
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class Neg(RhsExpr):
     operand: RhsExpr
-
-    def __str__(self) -> str:
-        return f"(-{self.operand})"
 
 
 @dataclass(frozen=True)
@@ -93,17 +82,11 @@ class BinOp(RhsExpr):
     left: RhsExpr
     right: RhsExpr
 
-    def __str__(self) -> str:
-        return f"({self.left}{self.op}{self.right})"
-
 
 @dataclass(frozen=True)
 class Call(RhsExpr):
     name: str
     args: tuple[RhsExpr, ...]
-
-    def __str__(self) -> str:
-        return f"{self.name}({','.join(str(a) for a in self.args)})"
 
 
 # --- tokenizer -------------------------------------------------------------

@@ -44,7 +44,6 @@ from .grid import (
 )
 
 __all__ = [
-    "front_coeff",
     "KernelSum",
     "ialpha_domain",
     "apply_ialpha",
@@ -52,22 +51,6 @@ __all__ = [
     "kernel_constant",
     "bound_constant",
 ]
-
-
-def front_coeff(alpha: float, q: int) -> float:
-    """Front coefficient (1 - q^-a)/(1 - q^(a-1)) of the integral kernel.
-
-    Formed as expm1(-a L)/expm1((a-1) L) with L = ln q, which keeps full
-    precision up to its pole at a = 1.  At a == 1 exactly the kernel is the
-    logarithmic one, (n - j) ln q, and its front (1 - q)/(q ln q) is
-    returned.
-    """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    lnq = math.log(q)
-    if alpha == 1.0:
-        return (1.0 - q) / (q * lnq)
-    return math.expm1(-alpha * lnq) / math.expm1((alpha - 1.0) * lnq)
 
 
 class KernelSum:
@@ -188,10 +171,10 @@ def ialpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:
     return total
 
 
-def _moment_times_front(alpha: float, m: int, q: int) -> float:
-    """|front| * d_{a,m} in closed form:
+def _moment(alpha: float, m: int, q: int, lead: float, shift: float) -> float:
+    """The kernel moments' closed form, with L = ln q:
 
-        (1 - 1/q) |expm1(-a L)| q^(-a(m+1)) / ((1 - q^-(1+a m)) (1 - q^-(a+a m))).
+        (1 - 1/q) lead q^(shift - a(m+1)) / ((1 - q^-(1+a m)) (1 - q^-(a+a m))).
 
     The kernel's two geometric series are combined before they are summed,
     so nothing cancels at any alpha.
@@ -203,18 +186,21 @@ def _moment_times_front(alpha: float, m: int, q: int) -> float:
     if qpow(q, -alpha) == 1.0:
         raise ValueError(f"alpha = {alpha!r} is too small: q^-alpha rounds to 1")
     lnq = math.log(q)
-    return ((1.0 - 1.0 / q) * -math.expm1(-alpha * lnq) * qpow(q, -alpha * (m + 1))
+    return ((1.0 - 1.0 / q) * lead * qpow(q, shift - alpha * (m + 1))
             / (math.expm1(-(1.0 + alpha * m) * lnq) * math.expm1(-alpha * (m + 1) * lnq)))
 
 
 def kernel_constant(alpha: float, m: int, grid: RadialGrid) -> float:
     """d_{a,m}, with I_{a,m}(q^n) = d_{a,m} q^(a(m+1)n) for every n.
 
-    The closed form of |front| * d_{a,m} is homogeneous by construction;
-    d_{a,m} is that divided by |front|, so at a == 1 exactly it is the
-    moment of the logarithmic kernel.
+    The moment of |q^((a-1)n) - q^((a-1)j)| has the lead
+    |expm1((a-1) L)| = q^max(a-1, 0) |expm1(-|a-1| L)|, whose power joins
+    the closed form's, so nothing overflows at large alpha.  At a == 1
+    exactly the kernel is the logarithmic one, (n - j) L, and the lead is L.
     """
-    return _moment_times_front(alpha, m, grid.q) / abs(front_coeff(alpha, grid.q))
+    lnq = math.log(grid.q)
+    lead = lnq if alpha == 1.0 else -math.expm1(-abs(alpha - 1.0) * lnq)
+    return _moment(alpha, m, grid.q, lead, max(alpha - 1.0, 0.0))
 
 
 _BOUND_MARGIN = 1.1
@@ -231,4 +217,5 @@ def bound_constant(alpha: float, grid: RadialGrid) -> float:
     Drives the contraction factor predictions of the solver.
     """
     q = grid.q
-    return qpow(q, -alpha) + _BOUND_MARGIN * _moment_times_front(alpha, 0, q)
+    lead = -math.expm1(-alpha * math.log(q))  # |1 - q^-a|
+    return qpow(q, -alpha) + _BOUND_MARGIN * _moment(alpha, 0, q, lead, 0.0)

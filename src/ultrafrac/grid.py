@@ -47,22 +47,6 @@ def qpow(q: float, x: float) -> float:
         raise RangeExceeded(f"q^x overflows a float: q = {q}, x = {x!r}") from None
 
 
-class _Kahan:
-    """Compensated accumulator; deterministic for a fixed order of terms."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Shell index window [k_min, k_max] over the value lattice q**Z.
@@ -217,25 +201,31 @@ class RunningSum:
     :func:`sweep` runs for the derivative's two sums.
     """
 
-    __slots__ = ("_q", "_w", "_k", "_step", "_acc")
+    __slots__ = ("_q", "_w", "_k", "_step", "_s", "_c")
 
     def __init__(self, tail: TailSpec, q: int, w: float, k_start: int,
                  side: str = "lower") -> None:
         step = _step(side)
         self._q, self._w, self._k, self._step = q, w, k_start, step
-        self._acc = _Kahan()
-        self._acc.add(_tail_series(tail, q, w, side, k_start - step))
+        # the first compensated step from a zero sum, in full: 0.0 + t turns
+        # a tail of -0.0 into 0.0, and a tail of +-inf leaves nan behind in _c
+        t = _tail_series(tail, q, w, side, k_start - step)
+        self._s = 0.0 + t
+        self._c = self._s - t
 
     @property
     def value(self) -> float:
-        return self._acc.s
+        return self._s
 
     def push(self, v: float) -> float:
         """Add the value at the next shell; return the sum through that shell."""
         k = self._k
-        self._acc.add(qpow(self._q, self._w * k) * v)
+        y = qpow(self._q, self._w * k) * v - self._c
+        s = self._s + y
+        self._c = (s - self._s) - y
+        self._s = s
         self._k = k + self._step
-        return self._acc.s
+        return s
 
 
 def sweep(start: Callable[[int], Any], f: RadialFunction, side: str,

@@ -25,7 +25,7 @@ from ultrafrac import (
 from ultrafrac.errors import ExprEvalError
 from ultrafrac.expr import _IMPL, BinOp, Call, Neg, Num, Var, _finite, _power
 from ultrafrac.fracint import KernelSum
-from ultrafrac.grid import RunningSum, _Kahan, _tail_series, series_entry, sweep
+from ultrafrac.grid import RunningSum, _tail_series, series_entry, sweep
 from ultrafrac.solver import _phi_function
 from ultrafrac.vladimirov import _scaled_lower
 
@@ -119,16 +119,19 @@ def ascending_upper_sum(f: RadialFunction, w: float, k0: int) -> tuple[float, fl
 
     The terms at shells k0, k0 + 1, ... up to k_max (lower-tail values below
     the window) come first, then the upper-tail closed form anchored at
-    max(k0, k_max + 1), all through one compensated accumulator.  Returns
+    max(k0, k_max + 1), all through one Kahan loop.  Returns
     the sum and the sum of the absolute values of what was added.
     """
     q, k_max = f.grid.q, f.grid.k_max
     terms = [qpow(q, w * k) * f.eval(k) for k in range(k0, k_max + 1)]
     terms.append(_tail_series(f.upper_tail, q, w, "upper", max(k0, k_max + 1)))
-    acc = _Kahan()
-    for t in terms:
-        acc.add(t)
-    return acc.s, sum(abs(t) for t in terms)
+    s = c = 0.0
+    for x in terms:
+        y = x - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+    return s, sum(abs(t) for t in terms)
 
 
 def dalpha_by_shell(u: RadialFunction, alpha: float, window: tuple[int, int]) -> list[float]:
@@ -421,6 +424,20 @@ def eval_by_tree_walk(node, q, variables: tuple[str, ...], *args: float) -> floa
         return _finite(_IMPL[n.name](*vals), n.name)
 
     return walk(node)
+
+
+def unparse(node) -> str:
+    """A fully parenthesized text of an expression tree, which re-parses to
+    an identical tree while its parentheses stay within ``MAX_DEPTH``."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{unparse(node.operand)})"
+    if isinstance(node, BinOp):
+        return f"({unparse(node.left)}{node.op}{unparse(node.right)})"
+    return f"{node.name}({','.join(unparse(a) for a in node.args)})"
 
 
 #: one way of nesting per name: an expression over x of exactly ``depth``

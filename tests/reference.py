@@ -64,13 +64,6 @@ def _front(alpha, q) -> Decimal:
     return (1 - _pow(q, -a)) / (1 - _pow(q, a - 1))
 
 
-def front(alpha: float, q: int, prec: int = PREC) -> Decimal:
-    """The front coefficient of the kernel (the log kernel's at a == 1)."""
-    with localcontext() as ctx:
-        ctx.prec = prec
-        return +_front(alpha, q)
-
-
 def _eval(u, k) -> Decimal:
     """u(q^k): the window value, or the tail model c q^(e k)."""
     g = u.grid

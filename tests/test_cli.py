@@ -387,6 +387,18 @@ def test_config_error_branches_exit_2(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # a Latin-1 comment: the byte 0xe9 of "caf\u00e9" at position 5 is not UTF-8
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# caf\u00e9\nq = 2\nalpha = 0.5\n".encode("latin-1"))
+    out = tmp_path / "out.csv"
+    assert main(["constants", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error[ConfigError]: config {path} is not UTF-8: 'utf-8' codec can't "
+                   "decode byte 0xe9 in position 5: invalid continuation byte\n")
+    assert not out.exists()
+
+
 def test_largest_float_q_passes_the_config_check(tmp_path):
     cfg = write_cfg(tmp_path, f"q = {int(sys.float_info.max)}\nalpha = 0.5\n")
     assert load_config(cfg).q == int(sys.float_info.max)
@@ -435,6 +447,21 @@ def test_constants_command(tmp_path):
     scaled = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(v <= 1.1 * max(scaled[:6]) for v in scaled)
     assert all(float(line.split(",")[1]) > 0.0 for line in lines[1:])
+
+
+def test_constants_at_large_alpha(tmp_path):
+    # at q = 2 and large a, d_{a,m} is 2^-(2 + a m) up to rounding for m >= 1
+    # (2^-902 at a = 300, m = 3), and 0.5 at m = 0
+    cfg = write_cfg(tmp_path, "q = 2\nalpha = 300\nm_max = 3\n")
+    out = tmp_path / "c.csv"
+    assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
+    m, d, scaled = out.read_text().splitlines()[-1].split(",")
+    assert m == "3"
+    assert float(d) == pytest.approx(2.0 ** -902, rel=1e-12)
+    assert float(scaled) == pytest.approx(0.25, rel=1e-12)
+    cfg = write_cfg(tmp_path, "q = 2\nalpha = 2000\nm_max = 0\n")
+    assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text() == "m,d_alpha_m,d_alpha_m_times_q_alpha_m\n0,0.5,0.5\n"
 
 
 @pytest.mark.parametrize("bad", MALFORMED)

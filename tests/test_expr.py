@@ -21,7 +21,7 @@ from ultrafrac import (
     qpow,
 )
 from ultrafrac.expr import MAX_DEPTH, BinOp, Call, Neg, Num, Var
-from helpers import NESTINGS, eval_by_tree_walk
+from helpers import NESTINGS, eval_by_tree_walk, unparse
 
 MALFORMED = [
     "",
@@ -163,7 +163,7 @@ def test_round_trip_on_samples():
     for text in ("0.5*sin(x)*min(1, r^-2)", "2^-2*x", "-(x+r)/q",
                  "pow(x, 2)^-1.5 - abs(r)", "max(min(x,r),0-1)"):
         tree = parse_expression(text)
-        assert parse_expression(str(tree)) == tree
+        assert parse_expression(unparse(tree)) == tree
 
 
 _leaf = st.one_of(
@@ -190,7 +190,7 @@ def _trees(depth):
 @settings(max_examples=120, deadline=None)
 @given(tree=_trees(3))
 def test_print_parse_round_trip(tree):
-    assert parse_expression(str(tree)) == tree
+    assert parse_expression(unparse(tree)) == tree
 
 
 # --- compiled evaluation against the tree walk ------------------------------

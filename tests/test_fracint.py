@@ -20,7 +20,6 @@ from ultrafrac import (
     apply_ialpha,
     dalpha_oracle,
     bound_constant,
-    front_coeff,
     ialpha_domain,
     ialpha_oracle,
     kernel_constant,
@@ -28,7 +27,6 @@ from ultrafrac import (
     qpow,
 )
 from ultrafrac.fracint import KernelSum
-import reference
 from helpers import (
     bits,
     compact,
@@ -41,19 +39,6 @@ from helpers import (
 )
 
 GRID5 = RadialGrid(5, 0, 0)
-
-
-def test_front_coefficient_branches():
-    assert front_coeff(0.5, 2) == pytest.approx(1.0, rel=1e-15)
-    assert front_coeff(2.0, 3) == pytest.approx((1 - 3.0 ** -2) / (1 - 3.0), rel=1e-14)
-    log_val = (1.0 - 3.0) / (3.0 * math.log(3.0))
-    assert front_coeff(1.0, 3) == pytest.approx(log_val, rel=1e-15)
-    # next to its pole at alpha = 1 the generic front keeps full precision
-    for alpha in (1.0 + 5e-13, 1.0 + 1.5e-12, 1.0 - 1e-10):
-        assert front_coeff(alpha, 3) == pytest.approx(float(reference.front(alpha, 3)), rel=1e-15)
-    for alpha in (0.1, 0.9, 1.1, 3.0):
-        v = front_coeff(alpha, 2)
-        assert math.isfinite(v) and v != 0.0
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -339,7 +324,8 @@ _U = compact(2, -1, [1.0, -0.5, 2.0])
 
 
 @pytest.mark.parametrize("call,exc,message", [
-    (lambda: front_coeff(0.0, 2), ValueError, r"alpha must be positive, got 0\.0"),
+    (lambda: kernel_constant(0.0, 0, GRID5), ValueError, r"alpha must be positive, got 0\.0"),
+    (lambda: bound_constant(0.0, GRID5), ValueError, r"alpha must be positive, got 0\.0"),
     (lambda: ialpha_domain(_U, -0.5), ValueError, r"alpha must be positive, got -0\.5"),
     (lambda: ialpha_oracle(_U, 0.0, 0), ValueError, r"alpha must be positive, got 0\.0"),
     (lambda: kernel_constant(0.5, -1, GRID5), ValueError,
@@ -348,8 +334,8 @@ _U = compact(2, -1, [1.0, -0.5, 2.0])
     # the sum S converges (alpha + e > 0) but G does not (1 + e <= 0)
     (lambda: KernelSum(TailSpec.power_law(1.0, -1.2), 2, 1.5, 0), DivergentTail,
      r"lower tail sum diverges: ratio q\^-\(1\+e\) = 1\.14\d* >= 1 \(tail exponent -1\.2\)"),
-], ids=["front_coeff", "ialpha_domain", "ialpha_oracle", "kernel_constant-m",
-        "apply_ialpha-window", "KernelSum-divergent"])
+], ids=["kernel_constant-alpha", "bound_constant-alpha", "ialpha_domain", "ialpha_oracle",
+        "kernel_constant-m", "apply_ialpha-window", "KernelSum-divergent"])
 def test_raises_name_their_cause(call, exc, message):
     with pytest.raises(exc, match=f"^{message}$"):
         call()

@@ -116,6 +116,21 @@ def test_kernel_constants_match_the_reference(q):
         assert abs(Decimal(bound_constant(alpha, grid)) - ref) <= Decimal(4 * EPS) * ref
 
 
+#: every (q, alpha, m) with m <= 7 at a large alpha whose d_{a,m} is at
+#: least 1e-300: 56 cases
+_LARGE_ALPHA_CASES = [(q, alpha, m) for q in (2, 3, 5, 7, 11)
+                      for alpha in (100.0, 300.0, 600.0, 1030.0, 2000.0) for m in range(8)
+                      if reference.kernel_constant(alpha, m, q) >= Decimal("1e-300")]
+
+
+@pytest.mark.parametrize("q,alpha,m", _LARGE_ALPHA_CASES)
+def test_kernel_constants_at_large_alpha(q, alpha, m):
+    # the lead |expm1((a-1) L)| enters as a power of q, so no factor of
+    # q^(a-1) overflows on its own, and no quotient underflows to 0
+    ref = reference.kernel_constant(alpha, m, q)
+    assert abs(Decimal(kernel_constant(alpha, m, RadialGrid(q, 0, 0))) - ref) <= Decimal(1e-13) * ref
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_truncation_bound_is_the_supremum(q):
     # at or above the largest response over the shells it covers, up to
