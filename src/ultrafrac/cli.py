@@ -223,14 +223,16 @@ def _render(cfg: RunConfig, command: str) -> tuple[list[str], list[tuple]]:
         report = mild_residuals(sol)
         if not report.ok:
             raise DeclarationViolated(_failed_checks(report))
-        mild = dict(report.residuals)
-        worst, shell = max((mild[k], k) for k in range(k_lo, k_hi + 1))
+        lo, hi = k_lo - sol.k_min, k_hi - sol.k_min + 1
+        mild = report.residuals[lo:hi]
+        worst, shell = max((r, k) for k, r in mild)
         if worst > cfg.tol:
             raise ToleranceNotReached(
                 f"mild residual {worst:.3g} at shell {shell} exceeds tol = {cfg.tol:g}")
-        rows = [(k, qpow(cfg.q, k), sol.value(k), mild[k],
-                 sol.iterations_at(k), sol.contraction_at(k))
-                for k in range(k_lo, k_hi + 1)]
+        its, picard_its = sol.fp_iterations.get, sol.picard_iterations
+        factor, rho = sol.contraction_factors.get, sol.predicted_rho
+        rows = [(k, qpow(cfg.q, k), u, r, its(k, picard_its), factor(k, rho))
+                for (k, r), u in zip(mild, sol.values[lo:hi])]
         return ["k", "radius", "u", "mild_residual",
                 "picard_or_fp_iterations", "contraction_factor"], rows
 
@@ -248,10 +250,9 @@ def _render(cfg: RunConfig, command: str) -> tuple[list[str], list[tuple]]:
 
     if command == "constants":
         grid = RadialGrid(cfg.q, 0, 0)
-        rows = []
-        for m in range(cfg.m_max + 1):
-            d = kernel_constant(cfg.alpha, m, grid)
-            rows.append((m, d, d * qpow(cfg.q, cfg.alpha * m)))
+        rows = [(m, kernel_constant(cfg.alpha, m, grid),
+                 kernel_constant(cfg.alpha, m, grid, scaled=True))
+                for m in range(cfg.m_max + 1)]
         return ["m", "d_alpha_m", "d_alpha_m_times_q_alpha_m"], rows
 
     raise ConfigError(f"unknown command {command!r}; expected one of {_COMMANDS}")

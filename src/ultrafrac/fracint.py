@@ -171,10 +171,10 @@ def ialpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:
     return total
 
 
-def _moment(alpha: float, m: int, q: int, lead: float, shift: float) -> float:
+def _moment(alpha: float, m: int, q: int, lead: float, power: float) -> float:
     """The kernel moments' closed form, with L = ln q:
 
-        (1 - 1/q) lead q^(shift - a(m+1)) / ((1 - q^-(1+a m)) (1 - q^-(a+a m))).
+        (1 - 1/q) lead q^power / ((1 - q^-(1+a m)) (1 - q^-(a+a m))).
 
     The kernel's two geometric series are combined before they are summed,
     so nothing cancels at any alpha.
@@ -186,21 +186,26 @@ def _moment(alpha: float, m: int, q: int, lead: float, shift: float) -> float:
     if qpow(q, -alpha) == 1.0:
         raise ValueError(f"alpha = {alpha!r} is too small: q^-alpha rounds to 1")
     lnq = math.log(q)
-    return ((1.0 - 1.0 / q) * lead * qpow(q, shift - alpha * (m + 1))
+    return ((1.0 - 1.0 / q) * lead * qpow(q, power)
             / (math.expm1(-(1.0 + alpha * m) * lnq) * math.expm1(-alpha * (m + 1) * lnq)))
 
 
-def kernel_constant(alpha: float, m: int, grid: RadialGrid) -> float:
-    """d_{a,m}, with I_{a,m}(q^n) = d_{a,m} q^(a(m+1)n) for every n.
+def kernel_constant(alpha: float, m: int, grid: RadialGrid,
+                    scaled: bool = False) -> float:
+    """d_{a,m}, with I_{a,m}(q^n) = d_{a,m} q^(a(m+1)n) for every n, or
+    d_{a,m} q^(a m), which the kernel bound caps, when ``scaled``.
 
     The moment of |q^((a-1)n) - q^((a-1)j)| has the lead
     |expm1((a-1) L)| = q^max(a-1, 0) |expm1(-|a-1| L)|, whose power joins
-    the closed form's, so nothing overflows at large alpha.  At a == 1
-    exactly the kernel is the logarithmic one, (n - j) L, and the lead is L.
+    the closed form's q^(-a(m+1)), so nothing overflows at large alpha.
+    Scaled, the power is max(a-1, 0) - a, which is -1 or -a exactly: no
+    rounding of a m enters it.  At a == 1 exactly the kernel is the
+    logarithmic one, (n - j) L, and the lead is L.
     """
     lnq = math.log(grid.q)
     lead = lnq if alpha == 1.0 else -math.expm1(-abs(alpha - 1.0) * lnq)
-    return _moment(alpha, m, grid.q, lead, max(alpha - 1.0, 0.0))
+    shift = max(alpha - 1.0, 0.0)
+    return _moment(alpha, m, grid.q, lead, shift - alpha * (1 if scaled else m + 1))
 
 
 _BOUND_MARGIN = 1.1
@@ -218,4 +223,4 @@ def bound_constant(alpha: float, grid: RadialGrid) -> float:
     """
     q = grid.q
     lead = -math.expm1(-alpha * math.log(q))  # |1 - q^-a|
-    return qpow(q, -alpha) + _BOUND_MARGIN * _moment(alpha, 0, q, lead, 0.0)
+    return qpow(q, -alpha) + _BOUND_MARGIN * _moment(alpha, 0, q, lead, -alpha)

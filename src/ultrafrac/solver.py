@@ -20,8 +20,9 @@ Shells below the solve window are handled through a constant tail model
 for f(., u) anchored at the cutoff; the cutoff is chosen so that the
 certified effect of any model error (at most 2M) stays below tol/10.
 A solution carries f(., u) with this tail as ``MildSolution.phi``, which
-continuation extends: beyond the iterations themselves, f is formed once
-per solved shell.
+continuation extends: beyond the iterations themselves, f is formed at
+most once per solved shell, and not at all on a continued shell whose
+last iterate repeats the one before it.
 """
 
 from __future__ import annotations
@@ -109,9 +110,13 @@ class MildSolution:
     ``values[i]`` is u(q^k) for k = grid.k_min + i, up to the frontier
     grid.k_max.  ``picard_history`` holds the sup-norm successive
     differences of the Picard stage; continued shells record their scalar
-    fixed-point iteration counts and contraction factors.  u(0) = u0 by
-    continuity.  ``phi`` is f(., u) on the solved shells, formed on first
-    use; a copy made by ``dataclasses.replace`` forms its own.
+    fixed-point iteration counts, contraction factors and mild residuals
+    ``fp_residuals``, which :func:`mild_residuals` reads in place of a
+    second integral.  u(0) = u0 by continuity.  ``phi`` is f(., u) on the
+    solved shells, formed on first use; a copy made by
+    ``dataclasses.replace`` forms its own.  A copy given another problem
+    (``rhs``, ``alpha`` or ``u0``) or other ``values`` must pass
+    ``fp_residuals={}``, so that every residual is integrated afresh.
     """
 
     grid: RadialGrid
@@ -124,6 +129,7 @@ class MildSolution:
     envelope_ok: bool
     fp_iterations: dict[int, int] = field(default_factory=dict)
     contraction_factors: dict[int, float] = field(default_factory=dict)
+    fp_residuals: dict[int, float] = field(default_factory=dict)
 
     @property
     def q(self) -> int:
@@ -146,12 +152,6 @@ class MildSolution:
             raise ValueError(f"shell {k} outside solved window "
                              f"[{self.k_min}, {self.frontier}]")
         return self.values[k - self.k_min]
-
-    def iterations_at(self, k: int) -> int:
-        return self.fp_iterations.get(k, self.picard_iterations)
-
-    def contraction_at(self, k: int) -> float:
-        return self.contraction_factors.get(k, self.predicted_rho)
 
     @cached_property
     def phi(self) -> RadialFunction:
@@ -281,12 +281,19 @@ def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
 
 
 def mild_residuals(sol: MildSolution) -> ResidualReport:
-    """|u - (u0 + I^a f(., u))| on every solved shell, one extra Picard map,
-    with the uniform bound M checked on the same values of f, ``sol.phi``."""
+    """|u - (u0 + I^a f(., u))| on every solved shell, with the uniform
+    bound M checked on the same values of f, ``sol.phi``.
+
+    The Picard shells take one extra Picard map.  The continued shells, the
+    last ``len(sol.fp_residuals)``, read the residuals that
+    :func:`continue_solution` recorded: the same sums, grouped the same
+    way, over the same ``phi``, so the same bits.
+    """
     phi = sol.phi
-    integ = apply_ialpha(phi, sol.alpha, (sol.k_min, sol.frontier))
+    integ = apply_ialpha(phi, sol.alpha, (sol.k_min, sol.frontier - len(sol.fp_residuals)))
     residuals = tuple((k, abs(u - (sol.u0 + w)))
                       for k, u, w in zip(sol.grid.shells, sol.values, integ.values))
+    residuals += tuple(sol.fp_residuals.items())
     return ResidualReport((sol.k_min, sol.frontier), residuals,
                           (_bound_entry(phi, sol.rhs.M),))
 
@@ -297,13 +304,18 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
 
     Each new shell solves the scalar equation x = u0 + v0 + q^(a l) f(., x)
     by plain successive substitution; the per-shell contraction factor
-    q^(a l) * F_(l+1) is recorded.  Raises :class:`ContractionFailure` at
-    the first shell whose iteration diverges or stalls.
+    q^(a l) * F_(l+1) and the mild residual
+    |x - (u0 + (q^(a l) f(., x) + v0))|, grouped as
+    :func:`~ultrafrac.fracint.apply_ialpha` groups it, are recorded.
+    Raises :class:`ContractionFailure` at the first shell whose iteration
+    diverges or stalls.
 
     v0 reads ``sol.phi`` (f(., u) with the constant lower tail of the
     Picard stage) through one :class:`~ultrafrac.fracint.KernelSum` kept
-    running across steps; each new shell costs one more evaluation of f,
-    which also extends ``phi`` on the result, and one more step of the sum.
+    running across steps.  f at the converged x extends ``phi`` on the
+    result and takes one more step of the sum; it is formed once more only
+    when the last step moved x (a step between 0.0 and -0.0 counts as a
+    move), and otherwise is the value the last step read.
     """
     if k_max <= sol.frontier:
         return sol
@@ -311,6 +323,7 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
     values = list(sol.values)
     fp_iters = dict(sol.fp_iterations)
     factors = dict(sol.contraction_factors)
+    resid = dict(sol.fp_residuals)
     phi = sol.phi
     f_vals = list(phi.values)
     run = KernelSum(phi.lower_tail, q, alpha, sol.k_min)
@@ -327,14 +340,14 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
         its = 0
         converged = False
         while its < max_iter:
-            x_new = u0 + v0 + gain * rhs.f(r_next, x)
+            fx = rhs.f(r_next, x)
+            x_new = u0 + v0 + gain * fx
             its += 1
             if not math.isfinite(x_new) or abs(x_new) > limit:
                 raise ContractionFailure(
                     f"iterate diverged at shell {l + 1} "
                     f"(contraction factor {factor:.6g})", shell=l + 1, factor=factor)
             if abs(x_new - x) <= tol:
-                x = x_new
                 converged = True
                 break
             x = x_new
@@ -342,14 +355,18 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
             raise ContractionFailure(
                 f"no convergence at shell {l + 1} within {max_iter} iterations "
                 f"(contraction factor {factor:.6g})", shell=l + 1, factor=factor)
-        values.append(x)
+        # fx is f at x; equal nonzero floats have equal bits, equal zeros may not
+        if x_new != x or x == 0.0:
+            fx = rhs.f(r_next, x_new)
+        values.append(x_new)
         fp_iters[l + 1] = its
         factors[l + 1] = factor
-        f_vals.append(rhs.f(r_next, x))
+        resid[l + 1] = abs(x_new - (u0 + (gain * fx + v0)))
+        f_vals.append(fx)
         if l + 1 < k_max:
-            run.push(f_vals[-1])
+            run.push(fx)
     ext = replace(sol, grid=RadialGrid(q, sol.k_min, k_max), values=tuple(values),
-                  fp_iterations=fp_iters, contraction_factors=factors)
+                  fp_iterations=fp_iters, contraction_factors=factors, fp_residuals=resid)
     object.__setattr__(ext, "phi", RadialFunction.from_values(
         q, sol.k_min, f_vals, 0.0, phi.lower_tail))
     return ext

@@ -193,17 +193,20 @@ def picard_frontier(sol) -> int:
 
 
 def continue_by_rebuild(sol, rhs, alpha: float, k_max: int, tol: float = 1e-12,
-                        max_iter: int = 200) -> tuple[list[float], dict[int, int]]:
+                        max_iter: int = 200) -> tuple[list[float], dict[int, int], set[int]]:
     """Shell continuation that rebuilds f(., u) and rescans it at every step.
 
     The per-step reference for the incremental ``continue_solution``: v0 at
     each new shell comes from a ``KernelSum`` run of its own over all solved
     shells, with the constant lower tail model of the Picard stage.  Returns
-    the solution values and the fixed-point iteration counts.
+    the solution values, the fixed-point iteration counts and the shells
+    whose last iterate repeats the one before it bit for bit at a nonzero
+    value, where the last step has already formed f at the solution.
     """
     q, k_min, u0 = sol.q, sol.k_min, sol.u0
     values = list(sol.values)
     iters = {}
+    repeats = set()
     for l in range(sol.frontier, k_max):
         phi_vals = [rhs.f(qpow(q, k), values[k - k_min]) for k in range(k_min, l + 1)]
         phi = RadialFunction.from_values(q, k_min, phi_vals,
@@ -215,6 +218,8 @@ def continue_by_rebuild(sol, rhs, alpha: float, k_max: int, tol: float = 1e-12,
         for its in range(1, max_iter + 1):
             x_new = u0 + v0 + gain * rhs.f(r_next, x)
             done = abs(x_new - x) <= tol
+            if done and x_new != 0.0 and x_new.hex() == x.hex():
+                repeats.add(l + 1)
             x = x_new
             if done:
                 break
@@ -222,7 +227,16 @@ def continue_by_rebuild(sol, rhs, alpha: float, k_max: int, tol: float = 1e-12,
             raise AssertionError(f"reference continuation stalled at shell {l + 1}")
         values.append(x)
         iters[l + 1] = its
-    return values, iters
+    return values, iters, repeats
+
+
+def mild_residuals_by_integral(sol) -> tuple[tuple[int, float], ...]:
+    """(shell, |u - (u0 + I^a f(., u))|) on every solved shell, from one
+    ``apply_ialpha`` over the whole window: the reference for the residuals
+    that ``continue_solution`` records on the shells it solves."""
+    integ = apply_ialpha(sol.phi, sol.alpha, (sol.k_min, sol.frontier))
+    return tuple((k, abs(u - (sol.u0 + w)))
+                 for k, u, w in zip(sol.grid.shells, sol.values, integ.values))
 
 
 def shell_measure(grid: RadialGrid, n: int) -> float:

@@ -18,7 +18,7 @@ import ultrafrac.solver as solver
 from ultrafrac.cli import _EXIT_TABLE, _csv_text, exit_code_for, load_config, main
 from ultrafrac.errors import ConfigError, MissingBeta, NoContraction
 from ultrafrac.expr import MAX_DEPTH
-from helpers import NESTINGS, csv_text_by_value, picard_frontier
+from helpers import NESTINGS, continue_by_rebuild, csv_text_by_value, picard_frontier
 
 DATA = Path(__file__).parent / "data"
 
@@ -199,9 +199,11 @@ def test_csv_rows_match_the_per_value_format(rows):
 def test_f_is_formed_once_per_solved_shell(tmp_path, monkeypatch, command, config):
     # Picard forms f on its shells once per iteration and the continuation
     # once per fixed-point step; beyond that, each solved shell's value of f
-    # is formed once and read by every later stage
+    # is formed once and read by every later stage, except on a continued
+    # shell whose last step repeated its iterate: the step formed it there
     calls = [0]
     solutions = []
+    continuations = []
     make_callable = solver.make_callable
 
     def counting_make_callable(node, q, variables):
@@ -216,6 +218,7 @@ def test_f_is_formed_once_per_solved_shell(tmp_path, monkeypatch, command, confi
 
     def recording(continue_solution):
         def wrapped(*args, **kwargs):
+            continuations.append((args, kwargs))
             solutions.append(continue_solution(*args, **kwargs))
             return solutions[-1]
         return wrapped
@@ -227,10 +230,18 @@ def test_f_is_formed_once_per_solved_shell(tmp_path, monkeypatch, command, confi
     assert main([command, "--config", str(DATA / config), "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / config.replace("catalog", "golden")
                                 .replace(".cfg", ".csv")).read_bytes()
+    formed = calls[0]
     sol = solutions[-1]
     picard_shells = picard_frontier(sol) - sol.k_min + 1
-    assert calls[0] == (sol.picard_iterations * picard_shells
-                        + sum(sol.fp_iterations.values()) + sol.grid.size)
+    # the shells whose last step repeated its iterate, counted by a rebuilt
+    # continuation of each stage
+    repeats = 0
+    for (start, k_max), kwargs in continuations:
+        repeats += len(continue_by_rebuild(start, start.rhs, start.alpha, k_max, **kwargs)[2])
+    assert formed == (sol.picard_iterations * picard_shells
+                      + sum(sol.fp_iterations.values()) + sol.grid.size - repeats)
+    if command == "verify":
+        assert repeats > 0
 
 
 def test_picard_envelope_at_n60_does_not_abort(tmp_path, capsys):
@@ -462,6 +473,17 @@ def test_constants_at_large_alpha(tmp_path):
     cfg = write_cfg(tmp_path, "q = 2\nalpha = 2000\nm_max = 0\n")
     assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_text() == "m,d_alpha_m,d_alpha_m_times_q_alpha_m\n0,0.5,0.5\n"
+
+
+def test_constants_scaled_column_past_the_float_range_of_q_alpha_m(tmp_path):
+    # q^(a m) = 2^1200 is no float, but d_{a,m} q^(a m) = 0.25 is
+    cfg = write_cfg(tmp_path, "q = 2\nalpha = 600\nm_max = 2\n")
+    out = tmp_path / "c.csv"
+    assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4
+    assert [float(line.split(",")[2]) for line in lines[1:]] == pytest.approx(
+        [0.5, 0.25, 0.25], rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", MALFORMED)

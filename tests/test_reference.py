@@ -4,6 +4,7 @@ the derivative."""
 
 from __future__ import annotations
 
+import math
 import random
 from decimal import Decimal
 
@@ -21,6 +22,7 @@ from ultrafrac import (
     ialpha_oracle,
     kernel_constant,
 )
+from ultrafrac.cli import RunConfig, _render
 from ultrafrac.solver import _truncation_bound
 
 EPS = 2.0 ** -52
@@ -129,6 +131,27 @@ def test_kernel_constants_at_large_alpha(q, alpha, m):
     # q^(a-1) overflows on its own, and no quotient underflows to 0
     ref = reference.kernel_constant(alpha, m, q)
     assert abs(Decimal(kernel_constant(alpha, m, RadialGrid(q, 0, 0))) - ref) <= Decimal(1e-13) * ref
+
+
+_COLUMN_RND = random.Random(7)
+#: alpha from 1e-3 to 2000: fixed points, and two seeded log-uniform ones per
+#: decade, whose products a m are not exact
+_COLUMN_ALPHAS = (1e-3, 0.3, 1.0 - 1e-6, 1.0, 1.0 + 1e-7, 1.7, 2.5, 10.0, 100.0,
+                  300.0, 600.0, 2000.0) + tuple(
+    10.0 ** _COLUMN_RND.uniform(e, min(e + 1.0, math.log10(2000.0)))
+    for e in range(-3, 4) for _ in range(2))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_constants_scaled_column_matches_the_reference(q):
+    # d_{a,m} q^(a m) comes from one closed form whose power of q is -1 or
+    # -a: it stays a float where q^(a m) is none, and a m is never rounded
+    for alpha in _COLUMN_ALPHAS:
+        _, rows = _render(RunConfig(q=q, alpha=alpha, m_max=20), "constants")
+        assert [row[0] for row in rows] == list(range(21))
+        for m, _, scaled in rows:
+            ref = reference.kernel_constant(alpha, m, q) * reference.power(q, alpha, m)
+            assert abs(Decimal(scaled) - ref) <= Decimal(1e-13) * ref
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

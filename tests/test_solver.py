@@ -28,12 +28,14 @@ from ultrafrac import (
     qpow,
     verify_strict,
 )
+from ultrafrac.cli import _solve_pipeline, load_config
 from ultrafrac.solver import _declared_constant_checks, _far_overflow_shell, _phi_function
 from helpers import (
     bits,
     catalog_rhs,
     check_rhs_conditions,
     continue_by_rebuild,
+    mild_residuals_by_integral,
     picard_frontier,
     v0_at,
 )
@@ -238,7 +240,7 @@ def test_continuation_matches_per_step_rebuild(q, alpha, N):
     # running lower sums against a rebuild of f(., u) at every step: same bits
     rhs = catalog_rhs(q, alpha)
     sol = picard_solve(rhs, U0, alpha, q, N, k_min=-6, tol=1e-10, max_iter=80)
-    want, want_iters = continue_by_rebuild(sol, rhs, alpha, N + 30, tol=1e-12)
+    want, want_iters, _ = continue_by_rebuild(sol, rhs, alpha, N + 30, tol=1e-12)
     ext = continue_solution(sol, N + 30, tol=1e-12)
     assert bits(ext.values) == bits(want)
     assert ext.fp_iterations == want_iters
@@ -283,6 +285,9 @@ def _assert_fresh_phi(sol):
 def test_carried_phi_matches_a_fresh_build(catalog_solution):
     rhs, sol = catalog_solution
     ext = continue_solution(sol, 14, tol=1e-13, max_iter=60)
+    # shells whose last iterate repeats the one before it read the f of the
+    # last step instead of a fresh evaluation
+    assert continue_by_rebuild(sol, rhs, ALPHA, 14, tol=1e-13, max_iter=60)[2]
     _assert_fresh_phi(ext)
     _assert_fresh_phi(continue_solution(ext, 30, tol=1e-13, max_iter=60))
     for seed in range(6):
@@ -309,6 +314,68 @@ def test_replaced_solution_forms_its_own_phi(catalog_solution):
     assert swapped.phi.values == tuple(0.5 * v for v in ext.values)
     assert swapped.phi.lower_tail.c == 0.5 * ext.values[0]
     assert ext.phi is cached and cached.values != swapped.phi.values
+
+
+def _decaying_rhs(q, alpha, N):
+    """c tanh(x) min(1, r^-(a + 1.5)) with c = 0.1 q^(-a N): Picard contracts
+    on shells up to N, and the continuation's factors decay."""
+    c, b = 0.1 * qpow(q, -alpha * N), alpha + 1.5
+    return RhsSpec(lambda r, x: c * math.tanh(x) * min(1.0, r ** -b), M=c, F=c,
+                   F_l=lambda l: min(c, c * qpow(q, -b * l)))
+
+
+def _hex_residuals(pairs):
+    return [(k, r.hex()) for k, r in pairs]
+
+
+def _assert_recorded_residuals_exact(sol):
+    """The residuals recorded by the continuation, the Picard map on the
+    rest and the full integral give the same bits on every shell."""
+    want = _hex_residuals(mild_residuals_by_integral(sol))
+    assert _hex_residuals(mild_residuals(sol).residuals) == want
+    assert sorted(sol.fp_residuals) == sorted(sol.fp_iterations)
+    # with nothing recorded, every shell takes the integral
+    assert _hex_residuals(mild_residuals(replace(sol, fp_residuals={})).residuals) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_recorded_residuals_have_the_bits_of_the_full_integral(q):
+    for alpha in (0.3, 0.5, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.7, 2.5):
+        for N in (0, 2):
+            rhs = _decaying_rhs(q, alpha, N)
+            sol = picard_solve(rhs, 0.7, alpha, q, N, tol=1e-12, max_iter=100)
+            assert not sol.fp_residuals
+            staged = continue_solution(sol, N + 15, tol=1e-12)
+            # a second step, as verify_strict extends a solved window
+            ext = continue_solution(staged, N + 40, tol=1e-13, max_iter=400)
+            assert len(ext.fp_residuals) == 40
+            for s in (sol, staged, ext):
+                _assert_recorded_residuals_exact(s)
+
+
+@pytest.mark.parametrize("config", ["catalog_solve.cfg", "catalog_solve_n3.cfg",
+                                    "catalog_verify.cfg"])
+def test_recorded_residuals_on_the_catalog_configs(config):
+    cfg = load_config(str(Path(__file__).parent / "data" / config))
+    sol = _solve_pipeline(cfg, "solve", cfg.k_max)
+    _assert_recorded_residuals_exact(sol)
+    _assert_recorded_residuals_exact(continue_solution(sol, cfg.k_max + 30, tol=1e-13,
+                                                       max_iter=400))
+
+
+def test_reused_f_keeps_the_sign_of_a_zero_solution():
+    # u0 = -0.0 and f(r, 0.0) = -0.0: a continued shell that starts from 0.0
+    # converges to -0.0 in one step and the next one back to 0.0.  The step
+    # does not move x by ==, yet f differs in the sign of its zero, so f is
+    # formed again at the converged value
+    rhs = RhsSpec(lambda r, x: -0.1 * math.tanh(x) * min(1.0, r ** -2.0), M=0.1, F=0.1)
+    sol = picard_solve(rhs, -0.0, ALPHA, Q, 0, tol=1e-12)
+    ext = continue_solution(sol, 12, tol=1e-12)
+    continued = ext.values[sol.grid.size:]
+    assert all(v == 0.0 for v in continued)
+    assert {math.copysign(1.0, v) for v in continued} == {1.0, -1.0}
+    assert set(ext.fp_iterations.values()) == {1}
+    _assert_fresh_phi(ext)
 
 
 def test_continuation_failure_reports_shell():
