@@ -174,9 +174,8 @@ def _input_function(cfg: RunConfig, command: str) -> RadialFunction:
     values = [fn(qpow(cfg.q, k)) for k in range(cfg.k_min, cfg.k_max + 1)]
     lower = _parse_tail(cfg.lower_tail, values[0], "lower_tail")
     upper = _parse_tail(cfg.upper_tail, values[-1], "upper_tail")
-    at_zero = lower.c if lower.e == 0.0 else 0.0
     grid = RadialGrid(cfg.q, cfg.k_min, cfg.k_max)
-    return RadialFunction(grid, tuple(values), at_zero, lower, upper)
+    return RadialFunction(grid, tuple(values), lower_tail=lower, upper_tail=upper)
 
 
 def _build_rhs(cfg: RunConfig, command: str) -> RhsSpec:
@@ -243,9 +242,9 @@ def _render(cfg: RunConfig, command: str) -> tuple[list[str], list[tuple]]:
         report = verify_strict(sol, (k_lo, k_hi))
         if not report.ok:
             raise DeclarationViolated(_failed_checks(report))
-        res = dict(report.residuals)
-        rows = [(k, qpow(cfg.q, k), sol.value(k), res[k])
-                for k in range(k_lo, k_hi + 1)]
+        lo, hi = k_lo - sol.k_min, k_hi - sol.k_min + 1
+        rows = [(k, qpow(cfg.q, k), u, r)
+                for (k, r), u in zip(report.residuals, sol.values[lo:hi])]
         return ["k", "radius", "u", "strict_residual"], rows
 
     if command == "constants":

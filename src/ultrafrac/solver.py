@@ -126,7 +126,6 @@ class MildSolution:
     values: tuple[float, ...]
     picard_history: tuple[float, ...]
     predicted_rho: float
-    envelope_ok: bool
     fp_iterations: dict[int, int] = field(default_factory=dict)
     contraction_factors: dict[int, float] = field(default_factory=dict)
     fp_residuals: dict[int, float] = field(default_factory=dict)
@@ -146,12 +145,6 @@ class MildSolution:
     @property
     def picard_iterations(self) -> int:
         return len(self.picard_history)
-
-    def value(self, k: int) -> float:
-        if not self.k_min <= k <= self.frontier:
-            raise ValueError(f"shell {k} outside solved window "
-                             f"[{self.k_min}, {self.frontier}]")
-        return self.values[k - self.k_min]
 
     @cached_property
     def phi(self) -> RadialFunction:
@@ -220,7 +213,7 @@ def _certified_depth(alpha: float, q: int, M: float, tol: float, N: int) -> int:
 
 def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
                  k_min: int | None = None, tol: float = 1e-12,
-                 max_iter: int = 100, start_offset: float = 0.0) -> MildSolution:
+                 max_iter: int = 100) -> MildSolution:
     """Local mild solution on shells [k_min, N] by Picard iteration.
 
     The iteration map is u -> u0 + I^a f(., u); its predicted contraction
@@ -228,8 +221,7 @@ def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
     only guaranteed when N is small enough that rho < 1; callers shrink N
     otherwise).  ``k_min`` may be given to pin the report window; the
     solver deepens it as needed so the certified cutoff error stays below
-    tol/10.  ``start_offset`` shifts the initial iterate away from u0,
-    which is useful for uniqueness checks.
+    tol/10.  The iteration starts from u0 on every shell.
 
     Raises :class:`NoContraction` when rho >= 1 and the iteration fails,
     and :class:`ToleranceNotReached` when the budget runs out while the
@@ -247,23 +239,14 @@ def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
     if k_min is not None:
         depth = min(depth, k_min)
     grid = RadialGrid(q, depth, N)
-    cur = [u0 + start_offset] * grid.size
+    cur = [u0] * grid.size
     history: list[float] = []
-    envelope_ok = True
-    floor = 64.0 * 2.3e-16 * (abs(u0) + rhs.M * C * qpow(q, alpha * N) + 1.0)
     converged = False
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         integ = apply_ialpha(_phi_function(q, depth, cur, rhs), alpha, (depth, N))
         nxt = [u0 + w for w in integ.values]
         diff = max(abs(a - b) for a, b in zip(nxt, cur))
         history.append(diff)
-        if start_offset == 0.0 and diff > floor:
-            # the envelope C^it M F^(it-1) q^(it a N), in logs: the product
-            # itself overflows for large N or many iterations
-            log_envelope = (it * math.log(C) + math.log(rhs.M)
-                            + (it - 1) * math.log(rhs.F) + it * alpha * N * math.log(q))
-            if math.log(diff) > log_envelope + math.log1p(1e-6):
-                envelope_ok = False
         cur = nxt
         if diff <= tol:
             converged = True
@@ -276,8 +259,7 @@ def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
         raise ToleranceNotReached(
             f"still converging after {max_iter} iterations "
             f"(last difference {history[-1]:.3e}, tol {tol:.3e})")
-    return MildSolution(grid, rhs, alpha, u0, tuple(cur), tuple(history),
-                        rho, envelope_ok)
+    return MildSolution(grid, rhs, alpha, u0, tuple(cur), tuple(history), rho)
 
 
 def mild_residuals(sol: MildSolution) -> ResidualReport:
@@ -372,8 +354,7 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
     return ext
 
 
-def verify_strict(sol: MildSolution, window: tuple[int, int],
-                  force: bool = False) -> ResidualReport:
+def verify_strict(sol: MildSolution, window: tuple[int, int]) -> ResidualReport:
     """Check that the mild solution solves the differential equation.
 
     Computes |(D^a u)(q^n) - f(q^n, u(q^n))| on ``window``.  The derivative
@@ -382,26 +363,22 @@ def verify_strict(sol: MildSolution, window: tuple[int, int],
     beyond an internally extended horizon, so that both tail models
     contribute below the reporting accuracy.  Also checks the declared
     constants of the rhs along the solution: the uniform bound M on every
-    solved shell and, when beta is declared, a finite decay constant.
+    solved shell and a finite decay constant for the declared beta.
 
-    Requires a declared decay exponent beta > alpha and solved margins of
-    at least 10 shells around the window; ``force=True`` skips the beta
-    requirement (the residual then exposes how the equation fails).
+    Requires solved margins of at least 10 shells around the window, and
+    raises :class:`MissingBeta` unless a decay exponent beta > alpha is
+    declared.
     """
     n_lo, n_hi = window
     if n_lo > n_hi:
         raise ValueError(f"empty verification window [{n_lo}, {n_hi}]")
     rhs, alpha = sol.rhs, sol.alpha
-    checks: list[ConditionEntry] = []
     if rhs.beta is None or rhs.beta <= alpha:
         msg = ("no decay exponent declared" if rhs.beta is None else
                f"declared beta = {rhs.beta:g} does not exceed alpha = {alpha:g}")
-        if not force:
-            raise MissingBeta(msg + "; strict verification needs beta > alpha")
-        checks.append(ConditionEntry("decay exponent beta", False, msg + " (forced)"))
-    else:
-        checks.append(ConditionEntry("decay exponent beta", True,
-                                     f"beta = {rhs.beta:g} > alpha = {alpha:g}"))
+        raise MissingBeta(msg + "; strict verification needs beta > alpha")
+    checks = [ConditionEntry("decay exponent beta", True,
+                             f"beta = {rhs.beta:g} > alpha = {alpha:g}")]
     if sol.k_min > n_lo - _VERIFY_MARGIN or sol.frontier < n_hi + _VERIFY_MARGIN:
         raise MarginTooSmall(
             f"need the solution on [{n_lo - _VERIFY_MARGIN}, {n_hi + _VERIFY_MARGIN}], "
@@ -409,9 +386,8 @@ def verify_strict(sol: MildSolution, window: tuple[int, int],
 
     q = sol.q
     scale = abs(sol.u0) + rhs.M + 1.0
-    beta_eff = min(1.0, rhs.beta) if (rhs.beta is not None and rhs.beta > 0) else 1.0
     margin = math.ceil((13.0 * math.log(10.0) + math.log(scale))
-                       / (beta_eff * math.log(q))) + 4
+                       / (min(1.0, rhs.beta) * math.log(q))) + 4
     margin = min(max(margin, 20), 200)
     horizon = n_hi + margin
     work = sol
@@ -444,21 +420,17 @@ def _declared_constant_checks(work: MildSolution) -> list[ConditionEntry]:
     """The declared constants of the rhs, checked along the solved shells.
 
     The uniform bound M must hold for f(q^k, u_k) on every solved shell,
-    with the relative slack 1e-9; when beta is declared, the decay constant
-    max |f(q^l, u_l)| q^(beta l) over shells l >= 1 must be a finite float.
-    Each entry names the shell that decides it.
+    with the relative slack 1e-9, and the decay constant of the declared
+    beta, max |f(q^l, u_l)| q^(beta l) over shells l >= 1, must be a finite
+    float.  Each entry names the shell that decides it.
     """
     q, rhs, phi = work.q, work.rhs, work.phi
-    entries = [_bound_entry(phi, rhs.M)]
-    if rhs.beta is None:
-        return entries
     far_shell = _far_overflow_shell(phi, q, rhs.beta, work.frontier)
     verdict = ("is a finite float" if far_shell is None else
                f"is not a finite float (largest term at shell {far_shell})")
-    entries.append(ConditionEntry(
+    return [_bound_entry(phi, rhs.M), ConditionEntry(
         "decay constant", far_shell is None,
-        f"max |f(q^l, u_l)| q^(b l) over shells 1..{work.frontier} {verdict}"))
-    return entries
+        f"max |f(q^l, u_l)| q^(b l) over shells 1..{work.frontier} {verdict}")]
 
 
 def _bound_entry(phi: RadialFunction, M: float) -> ConditionEntry:

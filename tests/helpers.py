@@ -16,6 +16,7 @@ from ultrafrac import (
     TailSpec,
     apply_dalpha,
     apply_ialpha,
+    bound_constant,
     diag_coeff,
     fit_upper_tail,
     ialpha_domain,
@@ -190,6 +191,44 @@ def v0_at(sol, rhs, alpha: float, N: int) -> float:
 def picard_frontier(sol) -> int:
     """The last shell of the Picard stage: every later shell was continued."""
     return sol.frontier - len(sol.fp_iterations)
+
+
+def picard_restart(sol, offset: float, tol: float = 1e-12,
+                   max_iter: int = 60) -> tuple[float, ...]:
+    """The Picard stage of ``sol`` solved again from u0 + ``offset`` on every shell.
+
+    Iterates the library's own map u -> u0 + I^a f(., u) on
+    [k_min, picard_frontier(sol)] until successive iterates differ by at
+    most ``tol``; the uniqueness checks compare the result with the
+    solution's values on those shells.
+    """
+    k_min, N = sol.k_min, picard_frontier(sol)
+    cur = [sol.u0 + offset] * (N - k_min + 1)
+    for _ in range(max_iter):
+        integ = apply_ialpha(_phi_function(sol.q, k_min, cur, sol.rhs), sol.alpha, (k_min, N))
+        nxt = [sol.u0 + w for w in integ.values]
+        diff = max(abs(a - b) for a, b in zip(nxt, cur))
+        cur = nxt
+        if diff <= tol:
+            return tuple(cur)
+    raise AssertionError(f"restart from offset {offset} still moving after {max_iter} "
+                         f"iterations (last difference {diff:.3e})")
+
+
+def picard_rates_hold(sol) -> tuple[bool, bool]:
+    """The two rules that together bound the Picard differences of ``sol`` by
+    the envelope C^it M F^(it-1) q^(it a N), each with the relative slack 1e-6.
+
+    The first difference is at most C M q^(a N); each later one above the
+    floor 1e-13 (|u0| + M) is at most rho = C F q^(a N) times the one
+    before.  A broken ratio rule proves F understated, since C is certified.
+    """
+    hist, rho = sol.picard_history, sol.predicted_rho
+    C = bound_constant(sol.alpha, RadialGrid(sol.q, 0, 0))
+    first = hist[0] <= C * sol.rhs.M * qpow(sol.q, sol.alpha * picard_frontier(sol)) * (1.0 + 1e-6)
+    floor = 1e-13 * (abs(sol.u0) + sol.rhs.M)
+    ratios = all(b <= floor or b <= rho * (1.0 + 1e-6) * a for a, b in zip(hist, hist[1:]))
+    return first, ratios
 
 
 def continue_by_rebuild(sol, rhs, alpha: float, k_max: int, tol: float = 1e-12,

@@ -244,8 +244,9 @@ def test_f_is_formed_once_per_solved_shell(tmp_path, monkeypatch, command, confi
         assert repeats > 0
 
 
-def test_picard_envelope_at_n60_does_not_abort(tmp_path, capsys):
-    # C^it q^(it a N) overflows a float here; the envelope is compared in logs
+def test_picard_at_n60_exits_0_within_tol(tmp_path, capsys):
+    # rho = C F q^(a N) is about 1.6e8 here: the iterates wander for some 40
+    # steps before they settle, and the converged solve still exits 0
     cfg = write_cfg(tmp_path, "q = 2\nalpha = 0.5\nu0 = 1\nrhs = 0.1*tanh(x)\n"
                               "M = 0.1\nF = 0.1\nN = 60\nk_min = 0\nk_max = 60\n"
                               "tol = 1e-9\nmax_iter = 200\n")
