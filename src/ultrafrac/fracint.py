@@ -38,6 +38,7 @@ from .grid import (
     RadialGrid,
     RunningSum,
     TailSpec,
+    finite_output,
     qpow,
     series_entry,
     sweep,
@@ -108,8 +109,9 @@ def apply_ialpha(u: RadialFunction, alpha: float,
     """Evaluate the regularized integral of ``u`` on ``out_window``.
 
     Requires :func:`ialpha_domain` (the integral reads shells j <= n only,
-    upper tails are irrelevant); raises :class:`DomainViolation` otherwise.
-    The result has zero tails and value 0 at the origin.
+    upper tails are irrelevant); raises :class:`DomainViolation` otherwise,
+    and :class:`RangeExceeded` where a value is not finite.  The result has
+    zero tails and value 0 at the origin.
 
     The off-diagonal parts come from one :func:`~ultrafrac.grid.sweep`
     of :class:`KernelSum`, so each is bit-identical to a run over its own
@@ -124,9 +126,15 @@ def apply_ialpha(u: RadialFunction, alpha: float,
     if n_lo > n_hi:
         raise ValueError(f"empty output window [{n_lo}, {n_hi}]")
     offdiag = sweep(lambda n: KernelSum(u.lower_tail, q, alpha, n), u, "lower", n_lo, n_hi)
-    values = [qpow(q, alpha * (n - 1)) * u.eval(n) + v
-              for n, v in zip(range(n_lo, n_hi + 1), offdiag)]
-    return RadialFunction.from_values(q, n_lo, values)
+    exp, lnq = math.exp, math.log(q)
+    try:
+        values = [exp(alpha * (n - 1) * lnq) * un + v
+                  for n, un, v in zip(range(n_lo, n_hi + 1), u.evals(n_lo, n_hi), offdiag)]
+    except OverflowError:
+        for n in range(n_lo, n_hi + 1):
+            qpow(q, alpha * (n - 1))  # raises the first overflowing power's RangeExceeded
+        raise
+    return finite_output("I^alpha u", q, n_lo, values)
 
 
 def ialpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:

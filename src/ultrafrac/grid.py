@@ -9,9 +9,9 @@ over shells, and restricting tails to this family keeps all infinite sums
 exact geometric series: tail contributions are never truncated.
 
 Shell k represents the sphere |t| = q**k, whose measure is (1 - 1/q)*q**k.
-All powers of q go through :func:`qpow` so that equal exponents produce
-bit-identical values everywhere, which keeps cancellation-sensitive sums
-reproducible.
+Every power of q is exp(x * ln q), ln q = ``math.log(q)``, so equal exponents
+give bit-identical values and cancellation-sensitive sums are reproducible:
+:func:`qpow` forms single powers, and each operator loop forms ln q once.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ __all__ = [
 ]
 
 def qpow(q: float, x: float) -> float:
-    """q**x computed as exp(x*ln q).
+    """q**x computed as exp(x*ln q), with ln q = ``math.log(q)``.
 
-    Single shared routine: identical exponents give bit-identical floats in
-    every module, which makes cancellation between separately computed terms
-    deterministic.  Raises :class:`RangeExceeded` when q**x overflows a float.
+    Every power in the package is this expression, so identical exponents
+    give bit-identical floats in every module.  Raises :class:`RangeExceeded`
+    when q**x overflows a float.
     """
     try:
         return math.exp(x * math.log(q))
@@ -128,7 +128,7 @@ class RadialFunction:
     upper_tail: TailSpec = TailSpec()
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "values", vals)
         if len(vals) != self.grid.size:
             raise ValueError(
@@ -154,6 +154,14 @@ class RadialFunction:
         if k > self.grid.k_max:
             return self.upper_tail.eval(self.grid.q, k)
         return self.values[k - self.grid.k_min]
+
+    def evals(self, lo: int, hi: int) -> list[float]:
+        """``[self.eval(k) for k in range(lo, hi + 1)]``, slicing the window."""
+        q, k_min, k_max = self.grid.q, self.grid.k_min, self.grid.k_max
+        out = [self.lower_tail.eval(q, k) for k in range(lo, min(hi + 1, k_min))]
+        out += self.values[max(lo, k_min) - k_min:max(min(hi, k_max) + 1 - k_min, 0)]
+        out += [self.upper_tail.eval(q, k) for k in range(max(lo, k_max + 1), hi + 1)]
+        return out
 
     def with_tails(self, lower: TailSpec | None = None,
                    upper: TailSpec | None = None) -> "RadialFunction":
@@ -201,12 +209,12 @@ class RunningSum:
     :func:`sweep` runs for the derivative's two sums.
     """
 
-    __slots__ = ("_q", "_w", "_k", "_step", "_s", "_c")
+    __slots__ = ("_q", "_lnq", "_w", "_k", "_step", "_s", "_c")
 
     def __init__(self, tail: TailSpec, q: int, w: float, k_start: int,
                  side: str = "lower") -> None:
         step = _step(side)
-        self._q, self._w, self._k, self._step = q, w, k_start, step
+        self._q, self._lnq, self._w, self._k, self._step = q, math.log(q), w, k_start, step
         # the first compensated step from a zero sum, in full: 0.0 + t turns
         # a tail of -0.0 into 0.0, and a tail of +-inf leaves nan behind in _c
         t = _tail_series(tail, q, w, side, k_start - step)
@@ -220,7 +228,11 @@ class RunningSum:
     def push(self, v: float) -> float:
         """Add the value at the next shell; return the sum through that shell."""
         k = self._k
-        y = qpow(self._q, self._w * k) * v - self._c
+        try:
+            y = math.exp(self._w * k * self._lnq) * v - self._c
+        except OverflowError:
+            qpow(self._q, self._w * k)  # raises the power's RangeExceeded
+            raise
         s = self._s + y
         self._c = (s - self._s) - y
         self._s = s
@@ -250,12 +262,21 @@ def sweep(start: Callable[[int], Any], f: RadialFunction, side: str,
     x_edge = step * edge
     out = [start(step * x).value for x in range(x_lo, min(x_hi, x_edge) + 1)]
     if x_hi > x_edge:
-        # the value at x + 1 is the run's after pushing f at x
-        push, ev = start(edge).push, f.eval
-        for x in range(x_edge, x_lo - 1):  # shells ahead of the window
-            push(ev(step * x))
-        out += [push(ev(step * x)) for x in range(max(x_edge, x_lo - 1), x_hi)]
+        # the value at x + 1 is the run's after pushing f at x; from x_lo on
+        push, last = start(edge).push, step * (x_hi - 1)
+        vals = f.evals(edge, last) if step == 1 else f.evals(last, edge)[::-1]
+        out += list(map(push, vals))[max(x_lo - 1 - x_edge, 0):]
     return out if step == 1 else out[::-1]
+
+
+def finite_output(name: str, q: int, n_lo: int, values: list[float]) -> RadialFunction:
+    """An operator's output from shell ``n_lo`` on, with zero tails; raises
+    :class:`RangeExceeded` at the first shell whose value is not finite."""
+    if not math.isfinite(sum(values)):  # the common case costs this one sum
+        for n, v in enumerate(values, n_lo):
+            if not math.isfinite(v):
+                raise RangeExceeded(f"{name} is {v!r} at shell {n}: a series term overflows")
+    return RadialFunction.from_values(q, n_lo, values)
 
 
 @dataclass(frozen=True)

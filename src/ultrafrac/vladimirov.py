@@ -27,6 +27,7 @@ from .grid import (
     RadialFunction,
     RunningSum,
     TailSpec,
+    finite_output,
     qpow,
     series_entry,
     sweep,
@@ -56,14 +57,6 @@ def diag_coeff(alpha: float, q: int) -> float:
     return (qpow(q, alpha) + q - 2.0) / (1.0 - qpow(q, -alpha - 1.0))
 
 
-def _scaled_lower(pref: float, q: int, x: float, low: float) -> float:
-    """pref * q^x * low, with q^x split in two factors where it alone would
-    overflow or underflow although the product is representable."""
-    if abs(x * math.log(q)) < 700.0:
-        return pref * qpow(q, x) * low
-    return pref * (qpow(q, x / 2) * (qpow(q, x - x / 2) * low))
-
-
 def dalpha_domain(u: RadialFunction, alpha: float) -> ConditionReport:
     """Check the tail models of ``u`` against the derivative's domain: the
     lower shells summable with weight q**k, the upper ones with q**(-alpha*l).
@@ -82,9 +75,10 @@ def apply_dalpha(u: RadialFunction, alpha: float,
     """Evaluate the fractional derivative of ``u`` on ``out_window``.
 
     Requires the growth conditions of :func:`dalpha_domain`; raises
-    :class:`DomainViolation` otherwise.  The result carries zero tails, its
-    values are defined only on the output window (callers widen the window
-    as needed; nothing is extrapolated silently).
+    :class:`DomainViolation` otherwise, and :class:`RangeExceeded` where a
+    value is not finite.  The result carries zero tails, its values are
+    defined only on the output window (callers widen the window as needed;
+    nothing is extrapolated silently).
     """
     report = dalpha_domain(u, alpha)
     if not report.ok:
@@ -101,12 +95,19 @@ def apply_dalpha(u: RadialFunction, alpha: float,
     lows = sweep(lambda n: RunningSum(u.lower_tail, q, 1.0, n), u, "lower", n_lo, n_hi)
     ups = sweep(lambda n: RunningSum(u.upper_tail, q, -alpha, n, "upper"),
                 u, "upper", n_lo, n_hi)
-    for n, low, up in zip(range(n_lo, n_hi + 1), lows, ups):
-        s1 = _scaled_lower(pref, q, -(alpha + 1.0) * n, low)
-        s2 = qpow(q, -alpha * n - 1.0) * dg * u.eval(n)
-        s3 = pref * up
-        values.append(s1 + s2 + s3)
-    return RadialFunction.from_values(q, n_lo, values)
+    exp, lnq = math.exp, math.log(q)
+    try:
+        for n, low, un, up in zip(range(n_lo, n_hi + 1), lows, u.evals(n_lo, n_hi), ups):
+            x = -(alpha + 1.0) * n
+            if abs(x * lnq) < 700.0:
+                s1 = pref * exp(x * lnq) * low
+            else:  # q^x alone would overflow or underflow although s1 need not
+                s1 = pref * (qpow(q, x / 2) * (qpow(q, x - x / 2) * low))
+            values.append(s1 + exp((-alpha * n - 1.0) * lnq) * dg * un + pref * up)
+    except OverflowError:
+        qpow(q, -alpha * n - 1.0)  # s2's power, the one here that can overflow: raises
+        raise
+    return finite_output("D^alpha u", q, n_lo, values)
 
 
 def dalpha_oracle(u: RadialFunction, alpha: float, n: int) -> float:

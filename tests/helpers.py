@@ -28,7 +28,6 @@ from ultrafrac.expr import _IMPL, BinOp, Call, Neg, Num, Var, _finite, _power
 from ultrafrac.fracint import KernelSum
 from ultrafrac.grid import RunningSum, _tail_series, series_entry, sweep
 from ultrafrac.solver import _phi_function
-from ultrafrac.vladimirov import _scaled_lower
 
 #: shells of exact tail modelling appended above a window before fitting
 UPPER_PAD = 45
@@ -135,22 +134,82 @@ def ascending_upper_sum(f: RadialFunction, w: float, k0: int) -> tuple[float, fl
     return s, sum(abs(t) for t in terms)
 
 
+class QpowRunningSum(RunningSum):
+    """:class:`RunningSum` with each weight from its own ``qpow`` call: the
+    per-term form that the running sums' exp(x * ln q) must match bit for bit."""
+
+    __slots__ = ()
+
+    def push(self, v: float) -> float:
+        k = self._k
+        y = qpow(self._q, self._w * k) * v - self._c
+        s = self._s + y
+        self._c = (s - self._s) - y
+        self._s = s
+        self._k = k + self._step
+        return s
+
+
+class QpowKernelSum(KernelSum):
+    """:class:`KernelSum` over a :class:`QpowRunningSum`."""
+
+    __slots__ = ()
+
+    def __init__(self, tail: TailSpec, q: int, alpha: float, k_start: int) -> None:
+        super().__init__(tail, q, alpha, k_start)
+        self._s = QpowRunningSum(tail, q, alpha, k_start)
+
+
+def sums_by_shell(start, f: RadialFunction, side: str, n_lo: int, n_hi: int) -> list[float]:
+    """What :func:`sweep` returns, with a run of its own for every output
+    shell and f read by ``eval``, one shell at a time: a fresh start up to
+    the edge of the window, and beyond it a run from the edge pushed shell
+    by shell up to the output shell."""
+    step = 1 if side == "lower" else -1
+    edge = f.grid.k_min if step == 1 else f.grid.k_max
+    out = []
+    for n in range(n_lo, n_hi + 1):
+        run = start(n if step * n <= step * edge else edge)
+        for k in range(edge, n, step):
+            run.push(f.eval(k))
+        out.append(run.value)
+    return out
+
+
+def ialpha_by_shell(u: RadialFunction, alpha: float, window: tuple[int, int]) -> list[float]:
+    """``apply_ialpha`` values on ``window`` from per-shell runs of
+    :class:`QpowKernelSum` and a ``qpow`` call per diagonal term: the
+    same terms in the same order, so the values agree bit for bit."""
+    q = u.grid.q
+    off = sums_by_shell(lambda n: QpowKernelSum(u.lower_tail, q, alpha, n), u, "lower", *window)
+    return [qpow(q, alpha * (n - 1)) * u.eval(n) + v
+            for n, v in zip(range(window[0], window[1] + 1), off)]
+
+
 def dalpha_by_shell(u: RadialFunction, alpha: float, window: tuple[int, int]) -> list[float]:
     """``apply_dalpha`` values on ``window`` with each shell's lower and upper
-    sums taken by their own ``weighted_tail_sum`` calls.
+    sums taken by their own :class:`QpowRunningSum` runs and every power by
+    its own ``qpow`` call.
 
-    The per-shell reference for the two running sums of ``apply_dalpha``:
-    the same terms in the same order, so the values agree bit for bit.
+    The per-shell reference for ``apply_dalpha``: the same terms in the same
+    order, so the values agree bit for bit.  The lower sum's factor
+    q^(-(a+1)n) is split in two where it alone would overflow or underflow.
     """
     q = u.grid.q
     pref = theta(alpha, q) * (1.0 - 1.0 / q)
     dg = diag_coeff(alpha, q)
+    lows = sums_by_shell(lambda n: QpowRunningSum(u.lower_tail, q, 1.0, n), u, "lower", *window)
+    ups = sums_by_shell(lambda n: QpowRunningSum(u.upper_tail, q, -alpha, n, "upper"),
+                        u, "upper", *window)
     out = []
-    for n in range(window[0], window[1] + 1):
-        s1 = _scaled_lower(pref, q, -(alpha + 1.0) * n,
-                           weighted_tail_sum(u, 1.0, "lower", n - 1))
+    for n, low, up in zip(range(window[0], window[1] + 1), lows, ups):
+        x = -(alpha + 1.0) * n
+        if abs(x * math.log(q)) < 700.0:
+            s1 = pref * qpow(q, x) * low
+        else:
+            s1 = pref * (qpow(q, x / 2) * (qpow(q, x - x / 2) * low))
         s2 = qpow(q, -alpha * n - 1.0) * dg * u.eval(n)
-        s3 = pref * weighted_tail_sum(u, -alpha, "upper", n + 1)
+        s3 = pref * up
         out.append(s1 + s2 + s3)
     return out
 

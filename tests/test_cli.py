@@ -322,6 +322,27 @@ def test_out_of_range_inputs_end_in_typed_errors(tmp_path, capsys, case):
     assert not out.exists()
 
 
+OPERATOR_RANGE_CASES = {
+    # D^a of the constant 1e300 is 0, but s1 and s2 overflow, to -inf and +inf
+    "apply-d-nan": ("apply-d", "q = 2\nalpha = 0.5\nrhs = 1e300\nk_min = -1000\nk_max = -995\n",
+                    "D^alpha u is nan at shell -1000: "),
+    # the weight q^(a k) of the running lower sum at shell 513
+    "apply-i-weight": ("apply-i", "q = 2\nalpha = 2\nrhs = min(1, r)\nk_min = 500\nk_max = 600\n",
+                       "q^x overflows a float: q = 2, x = 1026.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPERATOR_RANGE_CASES))
+def test_operator_overflows_exit_11_with_one_line(tmp_path, capsys, case):
+    command, text, message = OPERATOR_RANGE_CASES[case]
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 11
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[RangeExceeded]: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["apply-d", "apply-i"])
 @pytest.mark.parametrize("spec", ["constant:nan", "constant:inf",
                                   "powerlaw:-inf,0.5", "powerlaw:1,inf"])
