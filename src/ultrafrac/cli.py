@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     ConfigError,
@@ -29,6 +28,7 @@ from .errors import (
 from .expr import make_callable, parse_expression
 from .fracint import apply_ialpha, kernel_constant
 from .grid import RadialFunction, RadialGrid, TailSpec, qpow
+from .record import Record
 from .solver import (
     _VERIFY_MARGIN,
     MildSolution,
@@ -50,27 +50,23 @@ _FLOAT_KEYS = ("alpha", "u0", "tol", "M", "F", "beta")
 _STR_KEYS = ("rhs", "F_l", "out", "lower_tail", "upper_tail")
 
 
-@dataclass
-class RunConfig:
-    """One run's parameters; unset optionals fall back to documented defaults."""
+class RunConfig(Record):
+    """One run's parameters, a mutable record; unset optionals fall back to defaults."""
 
-    q: int
-    alpha: float
-    u0: float = 0.0
-    k_min: int | None = None
-    k_max: int | None = None
-    N: int | None = None
-    tol: float = 1e-10
-    max_iter: int = 200
-    rhs: str | None = None
-    M: float | None = None
-    F: float | None = None
-    F_l: str | None = None
-    beta: float | None = None
-    out: str | None = None
-    lower_tail: str = "extend"
-    upper_tail: str = "extend"
-    m_max: int = 20
+    __slots__ = ("q", "alpha", "u0", "k_min", "k_max", "N", "tol", "max_iter", "rhs",
+                 "M", "F", "F_l", "beta", "out", "lower_tail", "upper_tail", "m_max")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, q: int, alpha: float, u0: float = 0.0, k_min: int | None = None,
+                 k_max: int | None = None, N: int | None = None, tol: float = 1e-10,
+                 max_iter: int = 200, rhs: str | None = None, M: float | None = None,
+                 F: float | None = None, F_l: str | None = None, beta: float | None = None,
+                 out: str | None = None, lower_tail: str = "extend",
+                 upper_tail: str = "extend", m_max: int = 20) -> None:
+        Record.__init__(self, q, alpha, u0, k_min, k_max, N, tol, max_iter, rhs, M, F,
+                        F_l, beta, out, lower_tail, upper_tail, m_max)
 
 
 def load_config(path: str) -> RunConfig:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ExprEvalError, ExprNameError, ExprSyntaxError
+from .record import Record
 
 __all__ = [
     "RhsExpr",
@@ -53,40 +53,34 @@ _CONSTANTS = ("q",)
 MAX_DEPTH = 100
 
 
-class RhsExpr:
-    """Abstract syntax tree for f(r, x); nodes are immutable.
+class RhsExpr(Record):
+    """Abstract syntax tree for f(r, x); nodes are immutable records.
 
     :func:`make_callable` compiles a tree into a function; the nodes carry
     no evaluator of their own.
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Num(RhsExpr):
-    value: float
+    __slots__ = ("value",)  # float
 
 
-@dataclass(frozen=True)
 class Var(RhsExpr):
-    name: str
+    __slots__ = ("name",)  # str
 
 
-@dataclass(frozen=True)
 class Neg(RhsExpr):
-    operand: RhsExpr
+    __slots__ = ("operand",)  # RhsExpr
 
 
-@dataclass(frozen=True)
 class BinOp(RhsExpr):
-    op: str
-    left: RhsExpr
-    right: RhsExpr
+    __slots__ = ("op", "left", "right")  # str, RhsExpr, RhsExpr
 
 
-@dataclass(frozen=True)
 class Call(RhsExpr):
-    name: str
-    args: tuple[RhsExpr, ...]
+    __slots__ = ("name", "args")  # str, tuple[RhsExpr, ...]
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -94,11 +88,12 @@ class Call(RhsExpr):
 _SINGLE = "+-*/^(),"
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str          # 'num', 'ident', one of +-*/^(),, or 'eof'
-    text: str
-    pos: int           # character index into the source
+    # kind is 'num', 'ident', one of +-*/^(),, or 'eof'; pos indexes the source
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        self.kind, self.text, self.pos = kind, text, pos
 
 
 def _byte_offset(text: str, pos: int) -> int:

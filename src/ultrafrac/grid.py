@@ -17,10 +17,10 @@ give bit-identical values and cancellation-sensitive sums are reproducible:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .errors import DivergentTail, RangeExceeded
+from .record import Record
 
 __all__ = [
     "qpow",
@@ -47,22 +47,22 @@ def qpow(q: float, x: float) -> float:
         raise RangeExceeded(f"q^x overflows a float: q = {q}, x = {x!r}") from None
 
 
-@dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(Record):
     """Shell index window [k_min, k_max] over the value lattice q**Z.
 
     q is the residue-field cardinality; shell k stands for |t| = q**k.
     """
 
-    q: int
-    k_min: int
-    k_max: int
+    __slots__ = ("q", "k_min", "k_max")
 
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q}")
-        if self.k_min > self.k_max:
-            raise ValueError(f"empty shell window [{self.k_min}, {self.k_max}]")
+    def __init__(self, q: int, k_min: int, k_max: int) -> None:
+        if q < 2:
+            raise ValueError(f"q must be an integer >= 2, got {q}")
+        if k_min > k_max:
+            raise ValueError(f"empty shell window [{k_min}, {k_max}]")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k_min", k_min)
+        object.__setattr__(self, "k_max", k_max)
 
     @property
     def shells(self) -> range:
@@ -73,8 +73,7 @@ class RadialGrid:
         return self.k_max - self.k_min + 1
 
 
-@dataclass(frozen=True)
-class TailSpec:
+class TailSpec(Record):
     """Closed-form model u(q**k) = c * q**(e*k) for shells outside the window.
 
     A constant is the e = 0 case and zero the c = 0 one.  The family is
@@ -84,12 +83,13 @@ class TailSpec:
     :class:`RunningSum` rejects the divergent combinations.
     """
 
-    c: float = 0.0
-    e: float = 0.0
+    __slots__ = ("c", "e")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and math.isfinite(self.e)):
-            raise ValueError(f"tail c and e must be finite, got c = {self.c!r}, e = {self.e!r}")
+    def __init__(self, c: float = 0.0, e: float = 0.0) -> None:
+        if not (math.isfinite(c) and math.isfinite(e)):
+            raise ValueError(f"tail c and e must be finite, got c = {c!r}, e = {e!r}")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "e", e)
 
     @staticmethod
     def zero() -> "TailSpec":
@@ -111,8 +111,7 @@ class TailSpec:
         return self.c * qpow(q, self.e * k)
 
 
-@dataclass(frozen=True)
-class RadialFunction:
+class RadialFunction(Record):
     """A radial function: window values plus tail models plus the value at 0.
 
     ``eval`` is total on the integers: window lookup inside [k_min, k_max],
@@ -121,23 +120,24 @@ class RadialFunction:
     the continuity check.
     """
 
-    grid: RadialGrid
-    values: tuple[float, ...]
-    value_at_zero: float = 0.0
-    lower_tail: TailSpec = TailSpec()
-    upper_tail: TailSpec = TailSpec()
+    __slots__ = ("grid", "values", "value_at_zero", "lower_tail", "upper_tail")
 
-    def __post_init__(self) -> None:
-        vals = tuple(map(float, self.values))
-        object.__setattr__(self, "values", vals)
-        if len(vals) != self.grid.size:
+    def __init__(self, grid: RadialGrid, values: Sequence[float],
+                 value_at_zero: float = 0.0, lower_tail: TailSpec = TailSpec(),
+                 upper_tail: TailSpec = TailSpec()) -> None:
+        vals = tuple(map(float, values))
+        if len(vals) != grid.size:
             raise ValueError(
-                f"expected {self.grid.size} shell values for window "
-                f"[{self.grid.k_min}, {self.grid.k_max}], got {len(vals)}")
-        lt = self.lower_tail
-        if lt.c != 0.0 and lt.e > 0.0 and self.value_at_zero != 0.0:
+                f"expected {grid.size} shell values for window "
+                f"[{grid.k_min}, {grid.k_max}], got {len(vals)}")
+        if lower_tail.c != 0.0 and lower_tail.e > 0.0 and value_at_zero != 0.0:
             # u(q**k) -> 0 as k -> -inf, so continuity at 0 forces u(0) = 0
             raise ValueError("decaying power-law lower tail requires value_at_zero == 0")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "value_at_zero", value_at_zero)
+        object.__setattr__(self, "lower_tail", lower_tail)
+        object.__setattr__(self, "upper_tail", upper_tail)
 
     @classmethod
     def from_values(cls, q: int, k_min: int, values: Sequence[float],
@@ -279,19 +279,19 @@ def finite_output(name: str, q: int, n_lo: int, values: list[float]) -> RadialFu
     return RadialFunction.from_values(q, n_lo, values)
 
 
-@dataclass(frozen=True)
-class ConditionEntry:
-    name: str
-    passed: bool
-    detail: str = ""
+class ConditionEntry(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """Outcome of a set of predicate checks, one entry per condition."""
 
-    kind: str
-    entries: tuple[ConditionEntry, ...]
+    __slots__ = ("kind", "entries")
 
     @property
     def ok(self) -> bool:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -39,11 +38,13 @@ from .errors import (
     MarginTooSmall,
     MissingBeta,
     NoContraction,
+    RangeExceeded,
     ToleranceNotReached,
 )
 from .expr import make_callable, parse_expression
 from .fracint import KernelSum, apply_ialpha, bound_constant
 from .grid import ConditionEntry, RadialFunction, RadialGrid, TailSpec, qpow
+from .record import Record
 from .vladimirov import apply_dalpha, fit_upper_tail
 
 __all__ = [
@@ -60,8 +61,7 @@ __all__ = [
 _VERIFY_MARGIN = 10
 
 
-@dataclass(frozen=True)
-class RhsSpec:
+class RhsSpec(Record):
     """The nonlinearity f(r, x) with its declared constants.
 
     ``f`` maps (radius, state) to a real; ``M`` bounds |f| uniformly, ``F``
@@ -72,19 +72,18 @@ class RhsSpec:
     along the solution it verifies.
     """
 
-    f: Callable[[float, float], float]
-    M: float
-    F: float
-    F_l: Callable[[int], float] | None = None
-    beta: float | None = None
+    __slots__ = ("f", "M", "F", "F_l", "beta")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.M < math.inf:
-            raise ValueError(f"M must be positive and finite, got {self.M}")
-        if not 0.0 < self.F < math.inf:
-            raise ValueError(f"F must be positive and finite, got {self.F}")
-        if self.beta is not None and not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
+    def __init__(self, f: Callable[[float, float], float], M: float, F: float,
+                 F_l: Callable[[int], float] | None = None,
+                 beta: float | None = None) -> None:
+        if not 0.0 < M < math.inf:
+            raise ValueError(f"M must be positive and finite, got {M}")
+        if not 0.0 < F < math.inf:
+            raise ValueError(f"F must be positive and finite, got {F}")
+        if beta is not None and not math.isfinite(beta):
+            raise ValueError(f"beta must be finite, got {beta}")
+        Record.__init__(self, f, M, F, F_l, beta)
 
     @classmethod
     def from_expressions(cls, text: str, M: float, F: float, q: int,
@@ -101,8 +100,7 @@ class RhsSpec:
         return cls(f, M, F, fl, beta)
 
 
-@dataclass(frozen=True)
-class MildSolution:
+class MildSolution(Record):
     """Per-shell solution values of D^a u = f(|t|, u), u(0) = u0, with
     iteration diagnostics.
 
@@ -113,22 +111,22 @@ class MildSolution:
     fixed-point iteration counts, contraction factors and mild residuals
     ``fp_residuals``, which :func:`mild_residuals` reads in place of a
     second integral.  u(0) = u0 by continuity.  ``phi`` is f(., u) on the
-    solved shells, formed on first use; a copy made by
-    ``dataclasses.replace`` forms its own.  A copy given another problem
-    (``rhs``, ``alpha`` or ``u0``) or other ``values`` must pass
-    ``fp_residuals={}``, so that every residual is integrated afresh.
+    solved shells, formed on first use; a copy made by :meth:`replace` forms
+    its own.  A copy given another problem (``rhs``, ``alpha`` or ``u0``) or
+    other ``values`` must pass ``fp_residuals={}``, so that every residual
+    is integrated afresh; a dict left out or empty becomes a new one.
     """
 
-    grid: RadialGrid
-    rhs: RhsSpec
-    alpha: float
-    u0: float
-    values: tuple[float, ...]
-    picard_history: tuple[float, ...]
-    predicted_rho: float
-    fp_iterations: dict[int, int] = field(default_factory=dict)
-    contraction_factors: dict[int, float] = field(default_factory=dict)
-    fp_residuals: dict[int, float] = field(default_factory=dict)
+    __slots__ = ("grid", "rhs", "alpha", "u0", "values", "picard_history", "predicted_rho",
+                 "fp_iterations", "contraction_factors", "fp_residuals", "__dict__")
+
+    def __init__(self, grid: RadialGrid, rhs: RhsSpec, alpha: float, u0: float,
+                 values: tuple[float, ...], picard_history: tuple[float, ...],
+                 predicted_rho: float, fp_iterations: dict[int, int] | None = None,
+                 contraction_factors: dict[int, float] | None = None,
+                 fp_residuals: dict[int, float] | None = None) -> None:
+        Record.__init__(self, grid, rhs, alpha, u0, values, picard_history, predicted_rho,
+                        fp_iterations or {}, contraction_factors or {}, fp_residuals or {})
 
     @property
     def q(self) -> int:
@@ -151,14 +149,11 @@ class MildSolution:
         return _phi_function(self.q, self.k_min, self.values, self.rhs)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     """Pointwise residuals on a window, as (shell, residual) pairs, plus
     the checks of the declared constants made along the way."""
 
-    window: tuple[int, int]
-    residuals: tuple[tuple[int, float], ...]
-    checks: tuple[ConditionEntry, ...]
+    __slots__ = ("window", "residuals", "checks")
 
     @property
     def max_residual(self) -> float:
@@ -223,9 +218,9 @@ def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
     solver deepens it as needed so the certified cutoff error stays below
     tol/10.  The iteration starts from u0 on every shell.
 
-    Raises :class:`NoContraction` when rho >= 1 and the iteration fails,
-    and :class:`ToleranceNotReached` when the budget runs out while the
-    differences are still shrinking.
+    Raises :class:`NoContraction` when rho >= 1 and the iteration fails or
+    overflows, and :class:`ToleranceNotReached` when the budget runs out
+    while the differences are still shrinking.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -242,8 +237,15 @@ def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
     cur = [u0] * grid.size
     history: list[float] = []
     converged = False
-    for _ in range(max_iter):
-        integ = apply_ialpha(_phi_function(q, depth, cur, rhs), alpha, (depth, N))
+    for step in range(1, max_iter + 1):
+        try:
+            integ = apply_ialpha(_phi_function(q, depth, cur, rhs), alpha, (depth, N))
+        except RangeExceeded as exc:
+            if rho < 1.0:
+                raise
+            raise NoContraction(
+                f"predicted contraction factor rho = {rho:.6g} >= 1 and iteration "
+                f"{step} overflows ({exc}); shrink N") from exc
         nxt = [u0 + w for w in integ.values]
         diff = max(abs(a - b) for a, b in zip(nxt, cur))
         history.append(diff)
@@ -347,10 +349,9 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
         f_vals.append(fx)
         if l + 1 < k_max:
             run.push(fx)
-    ext = replace(sol, grid=RadialGrid(q, sol.k_min, k_max), values=tuple(values),
-                  fp_iterations=fp_iters, contraction_factors=factors, fp_residuals=resid)
-    object.__setattr__(ext, "phi", RadialFunction.from_values(
-        q, sol.k_min, f_vals, 0.0, phi.lower_tail))
+    ext = sol.replace(grid=RadialGrid(q, sol.k_min, k_max), values=tuple(values),
+                      fp_iterations=fp_iters, contraction_factors=factors, fp_residuals=resid)
+    ext.__dict__["phi"] = RadialFunction.from_values(q, sol.k_min, f_vals, 0.0, phi.lower_tail)
     return ext
 
 

@@ -567,6 +567,31 @@ def test_exit_codes_map(tmp_path, capsys):
     assert exit_code_for(RuntimeError()) == 1
 
 
+#: rho = 5.2e64 at N = 40: the Picard iterate overflows before it can stall
+RHO_ABOVE_ONE = """q = 7
+alpha = 2.0
+u0 = 0.5
+rhs = 0.01*x
+M = 0.03
+F = 0.03
+beta = 3.0
+N = 40
+k_min = -2
+k_max = 40
+tol = 1e-9
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_picard_overflow_at_rho_above_one_exits_6(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", write_cfg(tmp_path, RHO_ABOVE_ONE), "--out", str(out)]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error[NoContraction]: predicted contraction factor rho = ")
+    assert err.endswith("; shrink N\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_exit_code_table_matches_readme():
     # every code the CLI can return has a row in the README, and no row is stale
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +17,7 @@ from ultrafrac import (
     NoContraction,
     RadialFunction,
     RadialGrid,
+    RangeExceeded,
     RhsSpec,
     ToleranceNotReached,
     bound_constant,
@@ -28,6 +28,7 @@ from ultrafrac import (
     qpow,
     verify_strict,
 )
+import ultrafrac.solver as solver
 from ultrafrac.cli import _solve_pipeline, load_config
 from ultrafrac.solver import _declared_constant_checks, _far_overflow_shell, _phi_function
 from helpers import (
@@ -103,7 +104,7 @@ def test_mild_residuals_check_M_on_their_own_values_of_f(catalog_solution, M, ok
         calls.append(r)
         return rhs.f(r, x)
 
-    counted = replace(sol, rhs=replace(rhs, f=f, M=M))
+    counted = sol.replace(rhs=rhs.replace(f=f, M=M))
     report = mild_residuals(counted)
     assert len(calls) == sol.grid.size
     assert report.window == (sol.k_min, sol.frontier)
@@ -138,6 +139,25 @@ def _steep_rhs(**kw):
 def test_no_contraction_error():
     with pytest.raises(NoContraction):
         picard_solve(_steep_rhs(), 0.3, ALPHA, Q, 2, tol=1e-12, max_iter=40)
+
+
+def test_overflow_at_rho_above_one_is_no_contraction():
+    # rho = 5.2e64: the iterate grows until I^a of f(., u) overflows at shell 35
+    rhs = RhsSpec(lambda r, x: 0.01 * x, M=0.03, F=0.03, beta=3.0)
+    want = r"rho = 5\.2118e\+64 >= 1 .*shell 35.*; shrink N$"
+    with pytest.raises(NoContraction, match=want) as info:
+        picard_solve(rhs, 0.5, 2.0, 7, 40, k_min=-12, tol=1e-9, max_iter=200)
+    assert isinstance(info.value.__cause__, RangeExceeded)
+
+
+def test_overflow_at_rho_below_one_stays_range_exceeded(monkeypatch):
+    def overflowing(*args):
+        raise RangeExceeded("I^alpha u is inf at shell 0: a series term overflows")
+    monkeypatch.setattr(solver, "apply_ialpha", overflowing)
+    rhs = catalog_rhs(Q, ALPHA)
+    assert bound_constant(ALPHA, RadialGrid(Q, 0, 0)) * rhs.F * qpow(Q, 0.0) < 1.0
+    with pytest.raises(RangeExceeded, match="at shell 0"):
+        picard_solve(rhs, U0, ALPHA, Q, 0, tol=1e-12, max_iter=40)
 
 
 def test_tolerance_not_reached_error():
@@ -260,16 +280,16 @@ def test_continuation_and_verification_read_the_problem_from_the_solution(catalo
     # the same values carrying another problem continue as that problem:
     # with f = 0 each new shell is u0 and its factor is q^(a l) F
     zero = RhsSpec(lambda r, x: 0.0, M=0.1, F=0.1)
-    other = continue_solution(replace(sol, rhs=zero, alpha=1.7, u0=0.25), 14)
+    other = continue_solution(sol.replace(rhs=zero, alpha=1.7, u0=0.25), 14)
     assert other.values[sol.grid.size:] == (0.25,) * (14 - sol.frontier)
     assert other.contraction_factors == {
         l + 1: qpow(Q, 1.7 * l) * 0.1 for l in range(sol.frontier, 14)}
     assert verify_strict(ext, (-4, 2)).ok
     with pytest.raises(MissingBeta, match="alpha = 2.5"):
-        verify_strict(replace(ext, alpha=2.5), (-4, 2))
+        verify_strict(ext.replace(alpha=2.5), (-4, 2))
     with pytest.raises(MissingBeta, match="no decay exponent"):
-        verify_strict(replace(ext, rhs=zero), (-4, 2))
-    assert verify_strict(replace(ext, u0=U0 + 0.25), (-4, 2)).max_residual > 1e-4
+        verify_strict(ext.replace(rhs=zero), (-4, 2))
+    assert verify_strict(ext.replace(u0=U0 + 0.25), (-4, 2)).max_residual > 1e-4
 
 
 def _assert_fresh_phi(sol):
@@ -309,7 +329,7 @@ def test_replaced_solution_forms_its_own_phi(catalog_solution):
     ext = continue_solution(sol, 8, tol=1e-13, max_iter=60)
     cached = ext.phi
     other = RhsSpec(lambda r, x: 0.5 * x, M=1.0, F=0.5)
-    swapped = replace(ext, rhs=other)
+    swapped = ext.replace(rhs=other)
     assert swapped.phi.values == tuple(0.5 * v for v in ext.values)
     assert swapped.phi.lower_tail.c == 0.5 * ext.values[0]
     assert ext.phi is cached and cached.values != swapped.phi.values
@@ -334,7 +354,7 @@ def _assert_recorded_residuals_exact(sol):
     assert _hex_residuals(mild_residuals(sol).residuals) == want
     assert sorted(sol.fp_residuals) == sorted(sol.fp_iterations)
     # with nothing recorded, every shell takes the integral
-    assert _hex_residuals(mild_residuals(replace(sol, fp_residuals={})).residuals) == want
+    assert _hex_residuals(mild_residuals(sol.replace(fp_residuals={})).residuals) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -416,7 +436,7 @@ def test_strict_counterexample_constant_rhs():
     sol = picard_solve(rhs, U0, ALPHA, Q, 0, tol=1e-13, max_iter=5)
     ext = continue_solution(sol, 12, tol=1e-14, max_iter=30)
     with pytest.raises(MissingBeta):
-        verify_strict(replace(ext, rhs=replace(rhs, beta=None)), (-2, 2))
+        verify_strict(ext.replace(rhs=rhs.replace(beta=None)), (-2, 2))
     report = verify_strict(ext, (-2, 2))
     assert report.ok
     assert report.max_residual == pytest.approx(c, abs=1e-10)
@@ -508,7 +528,7 @@ def test_uniform_bound_entry_has_a_relative_slack_of_1e9(excess, ok):
 
 def test_log_branch_checks_the_declared_constants():
     # at alpha = 1 the declared constants are checked as at any other alpha
-    rhs = replace(catalog_rhs(3, 1.0), M=0.01)
+    rhs = catalog_rhs(3, 1.0).replace(M=0.01)
     N = pick_frontier(rhs, q=3, alpha=1.0)
     sol = picard_solve(rhs, 0.5, 1.0, 3, N, tol=1e-12, max_iter=60)
     ext = continue_solution(sol, 8, tol=1e-12, max_iter=60)
