@@ -51,13 +51,10 @@ _STR_KEYS = ("rhs", "F_l", "out", "lower_tail", "upper_tail")
 
 
 class RunConfig(Record):
-    """One run's parameters, a mutable record; unset optionals fall back to defaults."""
+    """One run's parameters; unset optionals fall back to defaults."""
 
     __slots__ = ("q", "alpha", "u0", "k_min", "k_max", "N", "tol", "max_iter", "rhs",
                  "M", "F", "F_l", "beta", "out", "lower_tail", "upper_tail", "m_max")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, q: int, alpha: float, u0: float = 0.0, k_min: int | None = None,
                  k_max: int | None = None, N: int | None = None, tol: float = 1e-10,

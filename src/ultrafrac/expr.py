@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import ExprEvalError, ExprNameError, ExprSyntaxError
 from .record import Record

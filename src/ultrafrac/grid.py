@@ -17,7 +17,7 @@ give bit-identical values and cancellation-sensitive sums are reproducible:
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import DivergentTail, RangeExceeded
 from .record import Record
@@ -163,12 +163,6 @@ class RadialFunction(Record):
         out += [self.upper_tail.eval(q, k) for k in range(max(lo, k_max + 1), hi + 1)]
         return out
 
-    def with_tails(self, lower: TailSpec | None = None,
-                   upper: TailSpec | None = None) -> "RadialFunction":
-        return RadialFunction(self.grid, self.values, self.value_at_zero,
-                              lower if lower is not None else self.lower_tail,
-                              upper if upper is not None else self.upper_tail)
-
 
 def _tail_series(tail: TailSpec, q: int, w: float, side: str, anchor: int) -> float:
     """Exact sum of q**(w*k) * tail(k) over k <= anchor or k >= anchor.
@@ -240,7 +234,7 @@ class RunningSum:
         return s
 
 
-def sweep(start: Callable[[int], Any], f: RadialFunction, side: str,
+def sweep(start: Callable[[int], object], f: RadialFunction, side: str,
           n_lo: int, n_hi: int) -> list[float]:
     """``start(n).value`` for every n in [n_lo, n_hi], in one pass, listed
     in ascending n.

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable, Sequence
 from functools import cached_property
-from typing import Callable, Sequence
 
 from .errors import (
     ContractionFailure,
@@ -151,13 +151,16 @@ class MildSolution(Record):
 
 class ResidualReport(Record):
     """Pointwise residuals on a window, as (shell, residual) pairs, plus
-    the checks of the declared constants made along the way."""
+    the checks of the declared constants made along the way.
+
+    A strict report whose declared constant fails has no residuals
+    (``residuals == ()``), and its ``max_residual`` is nan."""
 
     __slots__ = ("window", "residuals", "checks")
 
     @property
     def max_residual(self) -> float:
-        return max(r for _, r in self.residuals)
+        return max((r for _, r in self.residuals), default=math.nan)
 
     @property
     def ok(self) -> bool:
@@ -362,9 +365,11 @@ def verify_strict(sol: MildSolution, window: tuple[int, int]) -> ResidualReport:
     is applied to u - u0 (constants are annihilated exactly), with a zero
     lower tail certified by the Picard cutoff and an upper tail fitted
     beyond an internally extended horizon, so that both tail models
-    contribute below the reporting accuracy.  Also checks the declared
-    constants of the rhs along the solution: the uniform bound M on every
-    solved shell and a finite decay constant for the declared beta.
+    contribute below the reporting accuracy.  The declared constants of the
+    rhs are checked first, along the extended solution: the uniform bound M
+    on every solved shell and a finite decay constant for the declared
+    beta.  When one fails, the derivative is not applied and the report
+    has no residuals.
 
     Requires solved margins of at least 10 shells around the window, and
     raises :class:`MissingBeta` unless a decay exponent beta > alpha is
@@ -378,8 +383,6 @@ def verify_strict(sol: MildSolution, window: tuple[int, int]) -> ResidualReport:
         msg = ("no decay exponent declared" if rhs.beta is None else
                f"declared beta = {rhs.beta:g} does not exceed alpha = {alpha:g}")
         raise MissingBeta(msg + "; strict verification needs beta > alpha")
-    checks = [ConditionEntry("decay exponent beta", True,
-                             f"beta = {rhs.beta:g} > alpha = {alpha:g}")]
     if sol.k_min > n_lo - _VERIFY_MARGIN or sol.frontier < n_hi + _VERIFY_MARGIN:
         raise MarginTooSmall(
             f"need the solution on [{n_lo - _VERIFY_MARGIN}, {n_hi + _VERIFY_MARGIN}], "
@@ -399,7 +402,10 @@ def verify_strict(sol: MildSolution, window: tuple[int, int]) -> ResidualReport:
         except (ContractionFailure, DivergentTail) as exc:
             horizon = work.frontier
             note = f"extension unavailable ({exc}); evaluating at frontier {horizon}"
-    checks.append(ConditionEntry("evaluation horizon", True, note))
+    checks = (ConditionEntry("evaluation horizon", True, note), *_declared_constant_checks(work))
+    report = ResidualReport((n_lo, n_hi), (), checks)
+    if not report.ok:
+        return report
 
     g_vals = tuple(v - sol.u0 for v in work.values[: horizon - work.k_min + 1])
     g = RadialFunction(RadialGrid(q, work.k_min, horizon), g_vals)
@@ -408,13 +414,12 @@ def verify_strict(sol: MildSolution, window: tuple[int, int]) -> ResidualReport:
     if abs(g_vals[-1]) > 1e-13 * scale:
         g = fit_upper_tail(g)
         if g.upper_tail.e >= alpha - 1e-9:
-            g = g.with_tails(upper=TailSpec.constant(g_vals[-1]))
+            g = g.replace(upper_tail=TailSpec.constant(g_vals[-1]))
     deriv = apply_dalpha(g, alpha, (n_lo, n_hi))
     phi = work.phi
     residuals = tuple((n, abs(w - phi.eval(n)))
                       for n, w in zip(range(n_lo, n_hi + 1), deriv.values))
-    checks.extend(_declared_constant_checks(work))
-    return ResidualReport((n_lo, n_hi), residuals, tuple(checks))
+    return report.replace(residuals=residuals)
 
 
 def _declared_constant_checks(work: MildSolution) -> list[ConditionEntry]:

@@ -162,11 +162,11 @@ def fit_upper_tail(f: RadialFunction) -> RadialFunction:
     q = f.grid.q
     edge, inner = f.values[-1], f.values[-2]
     if edge == 0.0:
-        return f.with_tails(upper=TailSpec.zero())
+        return f.replace(upper_tail=TailSpec.zero())
     if inner == 0.0:
-        return f.with_tails(upper=TailSpec.constant(edge))
+        return f.replace(upper_tail=TailSpec.constant(edge))
     ratio = edge / inner
     if not (ratio > 0.0) or not math.isfinite(ratio):
-        return f.with_tails(upper=TailSpec.constant(edge))
+        return f.replace(upper_tail=TailSpec.constant(edge))
     e = math.log(ratio) / math.log(q)
-    return f.with_tails(upper=TailSpec.power_law(edge * qpow(q, -e * f.grid.k_max), e))
+    return f.replace(upper_tail=TailSpec.power_law(edge * qpow(q, -e * f.grid.k_max), e))

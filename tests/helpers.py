@@ -110,7 +110,7 @@ def integral_of_derivative(u: RadialFunction, alpha: float,
     """
     a = u.grid.k_min
     w = apply_dalpha(u, alpha, (a - 1, window[1] + 1))
-    w = w.with_tails(lower=TailSpec.constant(w.values[0]))
+    w = w.replace(lower_tail=TailSpec.constant(w.values[0]))
     return apply_ialpha(w, alpha, window)
 
 
@@ -412,7 +412,7 @@ def fit_power_tails(f: RadialFunction) -> RadialFunction:
         tail = TailSpec.power_law(edge * qpow(q, -e * f.grid.k_min), e)
         return TailSpec.constant(edge) if e > 0.0 and f.value_at_zero != 0.0 else tail
 
-    return fit_upper_tail(f.with_tails(lower=lower()))
+    return fit_upper_tail(f.replace(lower_tail=lower()))
 
 
 def check_rhs_conditions(rhs, grid: RadialGrid, samples: int = 200,

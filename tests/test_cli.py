@@ -624,6 +624,32 @@ def test_solve_exits_12_when_M_is_understated(tmp_path, capsys):
     assert not out.exists()
 
 
+# f = 0.01 tanh(u) does not decay, so beta = 3 is false; u grows like q^l,
+# and D^a u would overflow at shell 187 if it were formed
+FALSE_BETA = """q = 7
+alpha = 1
+u0 = 1
+rhs = 0.01*tanh(x)
+M = 0.01
+F = 0.01
+beta = 3
+N = 5
+k_min = 0
+k_max = 212
+tol = 1e-10
+"""
+
+
+def test_verify_reports_a_false_beta_before_the_derivative(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--config", write_cfg(tmp_path, FALSE_BETA), "--out", str(out)]) == 12
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error[DeclarationViolated]: decay constant fails: ")
+    assert err.endswith("is not a finite float (largest term at shell 232)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["1.0001", "1.000000001"])
 def test_catalog_solve_next_to_alpha_one(tmp_path, capsys, alpha):
     # one kernel for every alpha: no kernel-constant failure next to 1, and

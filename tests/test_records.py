@@ -125,19 +125,23 @@ def test_pickle_and_copy_round_trip(record):
         assert type(clone) is type(record) and clone == record
 
 
-def test_run_config_stays_a_mutable_record():
+def test_run_config_is_an_immutable_record():
     cfg = RunConfig(q=2, alpha=0.5)
     assert (cfg.u0, cfg.tol, cfg.m_max, cfg.lower_tail) == (0.0, 1e-10, 20, "extend")
-    cfg.tol = 1e-6
-    assert cfg == RunConfig(2, 0.5, tol=1e-6) and cfg != RunConfig(2, 0.5)
-    with pytest.raises(TypeError):
-        hash(cfg)
+    with pytest.raises(AttributeError, match="immutable"):
+        cfg.tol = 1e-6
+    with pytest.raises(AttributeError, match="immutable"):
+        del cfg.tol
+    tighter = cfg.replace(tol=1e-6)
+    assert tighter == RunConfig(2, 0.5, tol=1e-6) and tighter != cfg
+    assert cfg.tol == 1e-10 and tighter.replace(tol=1e-10) == cfg
+    assert hash(tighter.replace(tol=1e-10)) == hash(cfg)
     with pytest.raises(TypeError):
         RunConfig(q=2, alpha=0.5, gamma=1.0)
 
 
 def test_importing_the_cli_loads_no_dataclasses():
-    heavy = ("dataclasses", "inspect", "ast", "dis")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "typing")
     code = f"import sys, ultrafrac.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,

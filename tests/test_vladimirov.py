@@ -313,7 +313,7 @@ def test_raises_name_their_cause(call, message):
 
 @pytest.mark.parametrize("edge", [0.0, -0.0])
 def test_fit_upper_tail_of_a_zero_edge_is_zero(edge):
-    fitted = fit_upper_tail(compact(3, -2, [1.0, 2.0, edge]).with_tails(
-        upper=TailSpec.constant(5.0)))
+    fitted = fit_upper_tail(compact(3, -2, [1.0, 2.0, edge]).replace(
+        upper_tail=TailSpec.constant(5.0)))
     assert fitted.upper_tail == TailSpec.zero()
     assert fitted.values == (1.0, 2.0, edge)
