@@ -42,8 +42,9 @@ class MarginTooSmall(UltrafracError):
 
 
 class DeclarationViolated(UltrafracError):
-    """A constant declared for the rhs (the bound M or the decay constant
-    implied by beta) fails its check along the solution."""
+    """A constant declared for the rhs (the bound M, the decay constant
+    implied by beta, or a per-shell Lipschitz constant F_l outside
+    [0, inf)) fails its check along the solution."""
 
 
 class RangeExceeded(UltrafracError):

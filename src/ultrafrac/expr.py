@@ -281,15 +281,21 @@ def parse_expression(text: str, variables: tuple[str, ...] = ("r", "x")) -> RhsE
 
 # --- compiler --------------------------------------------------------------
 #
-# A tree compiles to nested closures a -> float over the argument tuple a.
-# Each closure does the float operation of its node, in the same order and
-# with the same finiteness and domain checks (and ExprEvalError messages) as
-# a walk of the tree over the bindings {**dict(zip(variables, a)), "q":
-# float(q)}, so the results are bit-identical to that walk.
+# A tree compiles bottom-up, in one pass, to a float or to nested closures
+# a -> float over the argument tuple a.  Each closure does the float
+# operation of its node, in the same order and with the same finiteness and
+# domain checks (and ExprEvalError messages) as a walk of the tree over the
+# bindings {**dict(zip(variables, a)), "q": float(q)}, so the results are
+# bit-identical to that walk; the slots each node reads decide its folding
+# and memos (see make_callable).
 
 _isfinite = math.isfinite
 
 _Closure = Callable[[tuple], float]
+_Code = tuple[float | _Closure, frozenset]  # (float or closure, slots read)
+
+_NONE = frozenset()
+_FIRST = frozenset((0,))
 
 
 def _finite(value: float, what: str) -> float:
@@ -328,9 +334,9 @@ _IMPL: dict[str, Callable[..., float]] = {
 }
 
 
-def _compile_var(name: str, q: float, variables: tuple[str, ...]) -> _Closure:
+def _compile_var(name: str, q: float, variables: tuple[str, ...]) -> _Code:
     if name in _CONSTANTS:
-        return lambda a: q
+        return q, _NONE
     # dict(zip(variables, a)) binds a repeated name to its last slot that
     # has an argument, so the slots are tried from the last one down
     slots = [i for i, v in enumerate(variables) if v == name][::-1]
@@ -338,7 +344,7 @@ def _compile_var(name: str, q: float, variables: tuple[str, ...]) -> _Closure:
     if not slots:
         def unbound(a):
             raise ExprEvalError(message)
-        return unbound
+        return unbound, _NONE
     i = slots[0]
 
     def var(a):
@@ -349,7 +355,7 @@ def _compile_var(name: str, q: float, variables: tuple[str, ...]) -> _Closure:
                 if j < len(a):
                     return a[j]
             raise ExprEvalError(message) from None
-    return var
+    return var, frozenset(slots)
 
 
 def _divide(x: float, y: float) -> float:
@@ -366,9 +372,44 @@ _BINOPS: dict[str, tuple[Callable[[float, float], float], str]] = {
 }
 
 
-def _checked(fn: Callable[..., float], what: str, args: list[_Closure]) -> _Closure:
-    """fn of the argument closures' values, left to right, checked finite."""
+def _memo(fn: _Closure) -> _Closure:
+    """fn with a one-entry memo on the identity of a[0]: one (key, value)
+    tuple, swapped whole; a raise is not stored."""
+    last = (_memo, 0.0)  # no argument is this function
+
+    def memo(a):
+        nonlocal last
+        key, value = last
+        if a and a[0] is key:
+            return value
+        value = fn(a)  # raises when a is empty, since fn reads a[0]
+        last = (a[0], value)
+        return value
+    return memo
+
+
+def _checked(fn: Callable[..., float], what: str, args: list) -> _Closure:
+    """fn of the operands' values, left to right, checked finite; a float
+    operand of a binary node is passed to fn as it is."""
     message = f"{what} produced a non-finite value"
+    if len(args) == 2:
+        a0, a1 = args
+        if not callable(a0) and callable(a1):
+            def call_c2(a):
+                v = fn(a0, a1(a))
+                if _isfinite(v):
+                    return v
+                raise ExprEvalError(message)
+            return call_c2
+        if callable(a0) and not callable(a1):
+            def call_2c(a):
+                v = fn(a0(a), a1)
+                if _isfinite(v):
+                    return v
+                raise ExprEvalError(message)
+            return call_2c
+    # other float operands: a node that raises at every call, or arity 3+
+    args = [c if callable(c) else (lambda a, v=c: v) for c in args]
     if len(args) == 1:
         (a0,) = args
 
@@ -393,22 +434,37 @@ def _checked(fn: Callable[..., float], what: str, args: list[_Closure]) -> _Clos
     return call_n
 
 
-def _compile(node: RhsExpr, q: float, variables: tuple[str, ...]) -> _Closure:
+def _node(fn: Callable[..., float], what: str, children: tuple[RhsExpr, ...],
+          q: float, variables: tuple[str, ...]) -> _Code:
+    """fn over the compiled children: folded when it reads no argument, with
+    a memo on each operand that reads only a[0] when it reads more."""
+    parts = [_compile(c, q, variables) for c in children]
+    reads = _NONE.union(*[r for _, r in parts])
+    memo = not reads <= _FIRST
+    code = _checked(fn, what, [
+        _memo(c) if memo and r == _FIRST and not isinstance(child, Var) else c
+        for child, (c, r) in zip(children, parts)])
+    if not reads:
+        try:
+            return code(()), reads
+        except Exception:  # deferred: the closure raises it again at every call
+            pass
+    return code, reads
+
+
+def _compile(node: RhsExpr, q: float, variables: tuple[str, ...]) -> _Code:
     if isinstance(node, Num):
-        value = node.value
-        return lambda a: value
+        return node.value, _NONE
     if isinstance(node, Var):
         return _compile_var(node.name, q, variables)
     if isinstance(node, Neg):
-        operand = _compile(node.operand, q, variables)
-        return lambda a: -operand(a)
+        operand, reads = _compile(node.operand, q, variables)
+        return (lambda a: -operand(a)) if callable(operand) else -operand, reads
     if isinstance(node, BinOp):
         fn, what = _BINOPS.get(node.op, (_power, "power"))
-        return _checked(fn, what, [_compile(node.left, q, variables),
-                                   _compile(node.right, q, variables)])
+        return _node(fn, what, (node.left, node.right), q, variables)
     if isinstance(node, Call):
-        return _checked(_IMPL[node.name], node.name,
-                        [_compile(c, q, variables) for c in node.args])
+        return _node(_IMPL[node.name], node.name, node.args, q, variables)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -420,8 +476,16 @@ def make_callable(node: RhsExpr, q: float,
     ``q`` evaluates to ``float(q)``.  A variable that is neither ``q`` nor
     bound by an argument raises :class:`ExprEvalError` when the function is
     called, not here.
+
+    Subtrees that read no argument are folded to floats here; one that
+    raises is kept and raises at every call.  In a node that reads more than the first
+    argument, an operand (not a bare variable) that reads only the first
+    keeps a one-entry memo on that argument's identity, so calls that pass
+    one radius object reuse its value.  The memo holds a strong reference
+    to its last key and never stores an error; no value changes.
     """
-    ev = _compile(node, float(q), tuple(variables))
+    code, _ = _compile(node, float(q), tuple(variables))
+    ev = code if callable(code) else (lambda a: code)
 
     def call(*args: float) -> float:
         return ev(args)

@@ -11,7 +11,8 @@ problem
 
     u(q^(l+1)) = u0 + v0 + q^(a l) * f(q^(l+1), u(q^(l+1))),
 
-where v0 is the known integral over the already-solved ball.
+where v0 is the known integral over the already-solved ball; every call
+of f on a shell gets one radius object, which the compiled rhs memoizes.
 :func:`verify_strict` checks that the mild solution actually satisfies
 the differential equation pointwise, by applying the derivative operator
 to u - u0 and comparing with f along the solution.
@@ -34,6 +35,7 @@ from functools import cached_property
 
 from .errors import (
     ContractionFailure,
+    DeclarationViolated,
     DivergentTail,
     MarginTooSmall,
     MissingBeta,
@@ -293,9 +295,11 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
     by plain successive substitution; the per-shell contraction factor
     q^(a l) * F_(l+1) and the mild residual
     |x - (u0 + (q^(a l) f(., x) + v0))|, grouped as
-    :func:`~ultrafrac.fracint.apply_ialpha` groups it, are recorded.
-    Raises :class:`ContractionFailure` at the first shell whose iteration
-    diverges or stalls.
+    :func:`~ultrafrac.fracint.apply_ialpha` groups it, are recorded.  All
+    calls of f on a shell pass one radius object q^(l+1).  Raises
+    :class:`ContractionFailure` at the first shell whose iteration diverges
+    or stalls, and :class:`DeclarationViolated` when F_(l+1) is not in
+    [0, inf).
 
     v0 reads ``sol.phi`` (f(., u) with the constant lower tail of the
     Picard stage) through one :class:`~ultrafrac.fracint.KernelSum` kept
@@ -316,35 +320,39 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
     run = KernelSum(phi.lower_tail, q, alpha, sol.k_min)
     for v in f_vals:
         run.push(v)
+    f, F_l, exp, lnq = rhs.f, rhs.F_l, math.exp, math.log(q)
     for l in range(sol.frontier, k_max):
         v0 = run.value
-        gain = qpow(q, alpha * l)
-        r_next = qpow(q, l + 1)
-        F_next = rhs.F_l(l + 1) if rhs.F_l is not None else rhs.F
+        try:  # qpow(q, alpha * l) and qpow(q, l + 1), one ln q per call
+            gain = exp(alpha * l * lnq)
+            r_next = exp((l + 1) * lnq)
+        except OverflowError:
+            qpow(q, alpha * l)  # raises the first overflowing power's RangeExceeded
+            qpow(q, l + 1)
+            raise
+        F_next = F_l(l + 1) if F_l is not None else rhs.F
+        if not 0.0 <= F_next < math.inf:
+            raise DeclarationViolated(f"F_l at shell {l + 1} is {F_next!r}, outside [0, inf)")
         factor = gain * F_next
         limit = 10.0 * (abs(u0) + abs(v0) + gain * rhs.M + 1.0)
         x = values[-1]
-        its = 0
-        converged = False
-        while its < max_iter:
-            fx = rhs.f(r_next, x)
+        for its in range(1, max_iter + 1):
+            fx = f(r_next, x)
             x_new = u0 + v0 + gain * fx
-            its += 1
             if not math.isfinite(x_new) or abs(x_new) > limit:
                 raise ContractionFailure(
                     f"iterate diverged at shell {l + 1} "
                     f"(contraction factor {factor:.6g})", shell=l + 1, factor=factor)
             if abs(x_new - x) <= tol:
-                converged = True
                 break
             x = x_new
-        if not converged:
+        else:
             raise ContractionFailure(
                 f"no convergence at shell {l + 1} within {max_iter} iterations "
                 f"(contraction factor {factor:.6g})", shell=l + 1, factor=factor)
         # fx is f at x; equal nonzero floats have equal bits, equal zeros may not
         if x_new != x or x == 0.0:
-            fx = rhs.f(r_next, x_new)
+            fx = f(r_next, x_new)
         values.append(x_new)
         fp_iters[l + 1] = its
         factors[l + 1] = factor

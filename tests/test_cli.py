@@ -624,6 +624,20 @@ def test_solve_exits_12_when_M_is_understated(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_negative_per_shell_lipschitz_constant_exits_12(tmp_path, capsys, command):
+    # F_l = -0.1 passed unchecked and printed contraction factors below 0
+    text = (DATA / "catalog_solve.cfg").read_text(encoding="utf-8")
+    cfg = tmp_path / "negative_f_l.cfg"
+    cfg.write_text(text.replace("F_l = min(0.1, q^(-0.5*l)/2)", "F_l = 0-0.1"), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 12
+    err = capsys.readouterr().err
+    assert err == ("error[DeclarationViolated]: F_l at shell 1 is -0.1, "
+                   "outside [0, inf)\n")
+    assert not out.exists()
+
+
 # f = 0.01 tanh(u) does not decay, so beta = 3 is false; u grows like q^l,
 # and D^a u would overflow at shell 187 if it were formed
 FALSE_BETA = """q = 7

@@ -228,17 +228,46 @@ def _outcome(fn, *args):
     return struct.pack("<d", value)
 
 
+def _same_bits(value):
+    """A new float object with the bits of ``value``."""
+    return struct.unpack("<d", struct.pack("<d", value))[0]
+
+
 @settings(max_examples=400, deadline=None)
-@example(tree=Call("tanh", (Var("x"),)), q=2, variables=("r", "x"), args=[1.0, math.nan])
+@example(tree=Call("tanh", (Var("x"),)), q=2, variables=("r", "x"), args=[1.0, math.nan],
+         xs=[0.5], other=2.0)
 @example(tree=Call("max", (Var("r"), Num(1.0), Var("x"))), q=2, variables=("r", "x"),
-         args=[0.5, math.inf])
-@example(tree=Neg(Var("r")), q=3, variables=("r", "r"), args=[-0.0])
+         args=[0.5, math.inf], xs=[1.0], other=0.25)
+@example(tree=Neg(Var("r")), q=3, variables=("r", "r"), args=[-0.0], xs=[1.0], other=0.0)
+# the radius part raises twice in a row on one radius object
+@example(tree=BinOp("*", Var("x"), Call("log", (Var("r"),))), q=2, variables=("r", "x"),
+         args=[-1.0, 2.0], xs=[3.0, 2.0], other=4.0)
+# a reused nan radius
+@example(tree=BinOp("*", Var("x"), Call("min", (Num(1.0), Var("r")))), q=2,
+         variables=("r", "x"), args=[math.nan, 0.5], xs=[0.25, -1.0], other=0.5)
+# the first argument is x: the memo keys on it
+@example(tree=BinOp("*", Call("tanh", (Var("x"),)), Var("r")), q=5, variables=("x", "r"),
+         args=[0.5, 2.0], xs=[3.0, -1.0], other=-0.5)
+# a subtree that reads no argument and raises stays a closure that raises
+@example(tree=BinOp("+", Var("x"), Call("log", (BinOp("-", Num(0.0), Num(1.0)),))), q=2,
+         variables=("r", "x"), args=[1.0, 2.0], xs=[3.0], other=1.0)
 @given(tree=_any_tree, q=st.sampled_from([2, 3, 5, 7]),
        variables=st.sampled_from([("r", "x"), ("x", "r"), ("l",), ("r", "r"), ()]),
-       args=st.lists(_inputs, max_size=3))
-def test_compiled_matches_tree_walk(tree, q, variables, args):
+       args=st.lists(_inputs, max_size=3), xs=st.lists(_inputs, min_size=1, max_size=3),
+       other=_inputs)
+def test_compiled_matches_tree_walk(tree, q, variables, args, xs, other):
+    # one compiled f over a sequence of calls: one first-argument object
+    # with several second arguments, then an equal but distinct object, then
+    # another value, so that a memo keyed on the first argument is exercised
     f = make_callable(tree, q, variables)
-    assert _outcome(f, *args) == _outcome(eval_by_tree_walk, tree, q, variables, *args)
+    first, rest = args[:1], args[2:]
+    calls = [args, *([*first, x, *rest] for x in xs)]
+    if first:
+        copy = _same_bits(first[0])
+        assert copy is not first[0]
+        calls += [[copy, *args[1:]], [other, *args[1:]]]
+    for call in calls:
+        assert _outcome(f, *call) == _outcome(eval_by_tree_walk, tree, q, variables, *call)
 
 
 def test_unbound_variable_raises_when_called():

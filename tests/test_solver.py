@@ -11,6 +11,7 @@ import pytest
 
 from ultrafrac import (
     ContractionFailure,
+    DeclarationViolated,
     MarginTooSmall,
     MildSolution,
     MissingBeta,
@@ -28,6 +29,7 @@ from ultrafrac import (
     qpow,
     verify_strict,
 )
+import ultrafrac.expr as expr
 import ultrafrac.solver as solver
 from ultrafrac.cli import _solve_pipeline, load_config
 from ultrafrac.solver import _declared_constant_checks, _far_overflow_shell, _phi_function
@@ -404,6 +406,51 @@ def test_continuation_failure_reports_shell():
         continue_solution(sol, 6, tol=1e-11, max_iter=80)
     assert err.value.shell is not None
     assert err.value.factor >= 1.0
+
+
+def test_continuation_forms_the_radius_part_once_per_shell(monkeypatch):
+    # min(1, r^-2) reads only the radius, so its memo forms it once per
+    # continued shell, as long as every call of the shell passes one object
+    mins = []
+
+    def counting_min(*args):
+        mins.append(args)
+        return min(*args)
+
+    monkeypatch.setitem(expr._IMPL, "min", counting_min)
+    compiled = RhsSpec.from_expressions("0.1*tanh(x)*min(1, r^-2)", 0.1, 0.1, Q).f
+    radii = []
+
+    def recording_f(r, x):
+        radii.append(r)
+        return compiled(r, x)
+
+    sol = picard_solve(RhsSpec(recording_f, 0.1, 0.1), U0, ALPHA, Q, 0, tol=1e-12)
+    sol.phi  # f on the Picard shells, formed before the count starts
+    mins.clear()
+    radii.clear()
+    ext = continue_solution(sol, 12, tol=1e-12)
+    runs = [r for i, r in enumerate(radii) if i == 0 or r is not radii[i - 1]]
+    assert runs == [qpow(Q, l) for l in range(1, 13)]  # one object per shell
+    assert len(radii) >= sum(ext.fp_iterations.values()) > len(runs)
+    assert len(mins) == len(runs)
+
+
+@pytest.mark.parametrize("F_l,shown", [(lambda l: -0.1, "-0.1"), (lambda l: math.nan, "nan"),
+                                       (lambda l: math.inf, "inf")],
+                         ids=["negative", "nan", "inf"])
+def test_per_shell_lipschitz_constant_outside_0_inf_is_a_violation(F_l, shown):
+    rhs = catalog_rhs()
+    sol = picard_solve(RhsSpec(rhs.f, rhs.M, rhs.F, F_l), U0, ALPHA, Q, 0, tol=1e-12)
+    with pytest.raises(DeclarationViolated,
+                       match=rf"^F_l at shell 1 is {shown}, outside \[0, inf\)$"):
+        continue_solution(sol, 4, tol=1e-12)
+
+
+def test_zero_per_shell_lipschitz_constant_is_accepted():
+    rhs = catalog_rhs()
+    sol = picard_solve(RhsSpec(rhs.f, rhs.M, rhs.F, lambda l: 0.0), U0, ALPHA, Q, 0)
+    assert set(continue_solution(sol, 4).contraction_factors.values()) == {0.0}
 
 
 # --- strict verification ---------------------------------------------------------
