@@ -281,13 +281,13 @@ def parse_expression(text: str, variables: tuple[str, ...] = ("r", "x")) -> RhsE
 
 # --- compiler --------------------------------------------------------------
 #
-# A tree compiles bottom-up, in one pass, to a float or to nested closures
-# a -> float over the argument tuple a.  Each closure does the float
-# operation of its node, in the same order and with the same finiteness and
-# domain checks (and ExprEvalError messages) as a walk of the tree over the
-# bindings {**dict(zip(variables, a)), "q": float(q)}, so the results are
-# bit-identical to that walk; the slots each node reads decide its folding
-# and memos (see make_callable).
+# A tree compiles bottom-up, in one pass, to a float (a number, q or its
+# negation) or to nested closures a -> float over the argument tuple a.
+# Each closure does the float operation of its node, in the same order and
+# with the same finiteness and domain checks (and ExprEvalError messages) as
+# a walk of the tree over the bindings {**dict(zip(variables, a)), "q":
+# float(q)}, so the results are bit-identical to that walk; the slots each
+# node reads decide its memos (see make_callable).
 
 _isfinite = math.isfinite
 
@@ -373,8 +373,8 @@ _BINOPS: dict[str, tuple[Callable[[float, float], float], str]] = {
 
 
 def _memo(fn: _Closure) -> _Closure:
-    """fn with a one-entry memo on the identity of a[0]: one (key, value)
-    tuple, swapped whole; a raise is not stored."""
+    """fn with a one-entry memo on the identity of a float a[0]: one
+    (key, value) tuple, swapped whole; a raise is not stored."""
     last = (_memo, 0.0)  # no argument is this function
 
     def memo(a):
@@ -383,7 +383,8 @@ def _memo(fn: _Closure) -> _Closure:
         if a and a[0] is key:
             return value
         value = fn(a)  # raises when a is empty, since fn reads a[0]
-        last = (a[0], value)
+        if type(a[0]) is float:  # immutable, so one object has one value
+            last = (a[0], value)
         return value
     return memo
 
@@ -408,7 +409,7 @@ def _checked(fn: Callable[..., float], what: str, args: list) -> _Closure:
                     return v
                 raise ExprEvalError(message)
             return call_2c
-    # other float operands: a node that raises at every call, or arity 3+
+    # any other float operand (both operands, a unary node, 3+ operands)
     args = [c if callable(c) else (lambda a, v=c: v) for c in args]
     if len(args) == 1:
         (a0,) = args
@@ -436,20 +437,14 @@ def _checked(fn: Callable[..., float], what: str, args: list) -> _Closure:
 
 def _node(fn: Callable[..., float], what: str, children: tuple[RhsExpr, ...],
           q: float, variables: tuple[str, ...]) -> _Code:
-    """fn over the compiled children: folded when it reads no argument, with
-    a memo on each operand that reads only a[0] when it reads more."""
+    """fn over the compiled children, with a memo on each operand that reads
+    only a[0] when the node reads more."""
     parts = [_compile(c, q, variables) for c in children]
     reads = _NONE.union(*[r for _, r in parts])
     memo = not reads <= _FIRST
-    code = _checked(fn, what, [
+    return _checked(fn, what, [
         _memo(c) if memo and r == _FIRST and not isinstance(child, Var) else c
-        for child, (c, r) in zip(children, parts)])
-    if not reads:
-        try:
-            return code(()), reads
-        except Exception:  # deferred: the closure raises it again at every call
-            pass
-    return code, reads
+        for child, (c, r) in zip(children, parts)]), reads
 
 
 def _compile(node: RhsExpr, q: float, variables: tuple[str, ...]) -> _Code:
@@ -477,12 +472,14 @@ def make_callable(node: RhsExpr, q: float,
     bound by an argument raises :class:`ExprEvalError` when the function is
     called, not here.
 
-    Subtrees that read no argument are folded to floats here; one that
-    raises is kept and raises at every call.  In a node that reads more than the first
+    Numbers, ``q`` and their negations become floats that a node's
+    function takes directly.  In a node that reads more than the first
     argument, an operand (not a bare variable) that reads only the first
     keeps a one-entry memo on that argument's identity, so calls that pass
-    one radius object reuse its value.  The memo holds a strong reference
-    to its last key and never stores an error; no value changes.
+    one radius object reuse its value.  Only a first argument of type
+    ``float`` is stored, since a mutable number (a NumPy 0-d array, say)
+    can change under one identity.  The memo holds a strong reference to
+    its last key and never stores an error; no value changes.
     """
     code, _ = _compile(node, float(q), tuple(variables))
     ev = code if callable(code) else (lambda a: code)

@@ -320,24 +320,18 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
     run = KernelSum(phi.lower_tail, q, alpha, sol.k_min)
     for v in f_vals:
         run.push(v)
-    f, F_l, exp, lnq = rhs.f, rhs.F_l, math.exp, math.log(q)
     for l in range(sol.frontier, k_max):
         v0 = run.value
-        try:  # qpow(q, alpha * l) and qpow(q, l + 1), one ln q per call
-            gain = exp(alpha * l * lnq)
-            r_next = exp((l + 1) * lnq)
-        except OverflowError:
-            qpow(q, alpha * l)  # raises the first overflowing power's RangeExceeded
-            qpow(q, l + 1)
-            raise
-        F_next = F_l(l + 1) if F_l is not None else rhs.F
+        gain = qpow(q, alpha * l)
+        r_next = qpow(q, l + 1)
+        F_next = rhs.F_l(l + 1) if rhs.F_l is not None else rhs.F
         if not 0.0 <= F_next < math.inf:
             raise DeclarationViolated(f"F_l at shell {l + 1} is {F_next!r}, outside [0, inf)")
         factor = gain * F_next
         limit = 10.0 * (abs(u0) + abs(v0) + gain * rhs.M + 1.0)
         x = values[-1]
         for its in range(1, max_iter + 1):
-            fx = f(r_next, x)
+            fx = rhs.f(r_next, x)
             x_new = u0 + v0 + gain * fx
             if not math.isfinite(x_new) or abs(x_new) > limit:
                 raise ContractionFailure(
@@ -352,7 +346,7 @@ def continue_solution(sol: MildSolution, k_max: int, tol: float = 1e-12,
                 f"(contraction factor {factor:.6g})", shell=l + 1, factor=factor)
         # fx is f at x; equal nonzero floats have equal bits, equal zeros may not
         if x_new != x or x == 0.0:
-            fx = f(r_next, x_new)
+            fx = rhs.f(r_next, x_new)
         values.append(x_new)
         fp_iters[l + 1] = its
         factors[l + 1] = factor

@@ -248,7 +248,7 @@ def _same_bits(value):
 # the first argument is x: the memo keys on it
 @example(tree=BinOp("*", Call("tanh", (Var("x"),)), Var("r")), q=5, variables=("x", "r"),
          args=[0.5, 2.0], xs=[3.0, -1.0], other=-0.5)
-# a subtree that reads no argument and raises stays a closure that raises
+# a subtree that reads no argument and raises: compiling does not raise, each call does
 @example(tree=BinOp("+", Var("x"), Call("log", (BinOp("-", Num(0.0), Num(1.0)),))), q=2,
          variables=("r", "x"), args=[1.0, 2.0], xs=[3.0], other=1.0)
 @given(tree=_any_tree, q=st.sampled_from([2, 3, 5, 7]),
@@ -268,6 +268,25 @@ def test_compiled_matches_tree_walk(tree, q, variables, args, xs, other):
         calls += [[copy, *args[1:]], [other, *args[1:]]]
     for call in calls:
         assert _outcome(f, *call) == _outcome(eval_by_tree_walk, tree, q, variables, *call)
+
+
+class _MutableNumber:
+    """A number that changes in place under one identity; math functions
+    read it through __float__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __float__(self):
+        return self.value
+
+
+def test_memo_rereads_a_first_argument_that_is_not_a_float():
+    f = make_callable(parse_expression("x*min(1, r^-2)"), 2)
+    r = _MutableNumber(4.0)
+    assert f(r, 1.0) == 0.0625
+    r.value = 2.0
+    assert f(r, 1.0) == 0.25
 
 
 def test_unbound_variable_raises_when_called():
