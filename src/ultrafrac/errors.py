@@ -26,8 +26,7 @@ class ToleranceNotReached(UltrafracError):
 class ContractionFailure(UltrafracError):
     """Scalar fixed-point iteration failed at a continuation shell."""
 
-    def __init__(self, message: str, shell: int | None = None,
-                 factor: float | None = None):
+    def __init__(self, message: str, shell: int, factor: float):
         super().__init__(message)
         self.shell = shell
         self.factor = factor

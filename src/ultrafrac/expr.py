@@ -337,25 +337,19 @@ _IMPL: dict[str, Callable[..., float]] = {
 def _compile_var(name: str, q: float, variables: tuple[str, ...]) -> _Code:
     if name in _CONSTANTS:
         return q, _NONE
-    # dict(zip(variables, a)) binds a repeated name to its last slot that
-    # has an argument, so the slots are tried from the last one down
-    slots = [i for i, v in enumerate(variables) if v == name][::-1]
     message = f"variable '{name}' is not bound"
-    if not slots:
+    if name not in variables:
         def unbound(a):
             raise ExprEvalError(message)
         return unbound, _NONE
-    i = slots[0]
+    i = variables.index(name)
 
     def var(a):
         try:
             return a[i]
         except IndexError:
-            for j in slots[1:]:
-                if j < len(a):
-                    return a[j]
             raise ExprEvalError(message) from None
-    return var, frozenset(slots)
+    return var, frozenset((i,))
 
 
 def _divide(x: float, y: float) -> float:
@@ -364,11 +358,11 @@ def _divide(x: float, y: float) -> float:
     return x / y
 
 
-#: operator -> (function, what a non-finite result names); any other
-#: operator string evaluates as a power, as '^' does
+#: operator -> (function, what a non-finite result names)
 _BINOPS: dict[str, tuple[Callable[[float, float], float], str]] = {
     "+": (operator.add, "addition"), "-": (operator.sub, "subtraction"),
     "*": (operator.mul, "multiplication"), "/": (_divide, "division"),
+    "^": (_power, "power"),
 }
 
 
@@ -409,7 +403,7 @@ def _checked(fn: Callable[..., float], what: str, args: list) -> _Closure:
                     return v
                 raise ExprEvalError(message)
             return call_2c
-    # any other float operand (both operands, a unary node, 3+ operands)
+    # any other float operand (both operands, or a unary node)
     args = [c if callable(c) else (lambda a, v=c: v) for c in args]
     if len(args) == 1:
         (a0,) = args
@@ -420,19 +414,14 @@ def _checked(fn: Callable[..., float], what: str, args: list) -> _Closure:
                 return v
             raise ExprEvalError(message)
         return call1
-    if len(args) == 2:
-        a0, a1 = args
+    a0, a1 = args
 
-        def call2(a):
-            v = fn(a0(a), a1(a))
-            if _isfinite(v):
-                return v
-            raise ExprEvalError(message)
-        return call2
-
-    def call_n(a):
-        return _finite(fn(*[c(a) for c in args]), what)
-    return call_n
+    def call2(a):
+        v = fn(a0(a), a1(a))
+        if _isfinite(v):
+            return v
+        raise ExprEvalError(message)
+    return call2
 
 
 def _node(fn: Callable[..., float], what: str, children: tuple[RhsExpr, ...],
@@ -455,10 +444,10 @@ def _compile(node: RhsExpr, q: float, variables: tuple[str, ...]) -> _Code:
     if isinstance(node, Neg):
         operand, reads = _compile(node.operand, q, variables)
         return (lambda a: -operand(a)) if callable(operand) else -operand, reads
-    if isinstance(node, BinOp):
-        fn, what = _BINOPS.get(node.op, (_power, "power"))
+    if isinstance(node, BinOp) and node.op in _BINOPS:
+        fn, what = _BINOPS[node.op]
         return _node(fn, what, (node.left, node.right), q, variables)
-    if isinstance(node, Call):
+    if isinstance(node, Call) and len(node.args) == FUNCTIONS.get(node.name):
         return _node(_IMPL[node.name], node.name, node.args, q, variables)
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -470,7 +459,10 @@ def make_callable(node: RhsExpr, q: float,
     Arguments bind to ``variables`` by position (extra ones are ignored);
     ``q`` evaluates to ``float(q)``.  A variable that is neither ``q`` nor
     bound by an argument raises :class:`ExprEvalError` when the function is
-    called, not here.
+    called, not here.  Only the operators and calls of the grammar
+    compile: a ``BinOp`` other than ``+ - * / ^``, or a ``Call`` of a name
+    outside :data:`FUNCTIONS` or at another arity, raises ``TypeError``, and
+    ``variables`` that repeat a name raise ``ValueError``.
 
     Numbers, ``q`` and their negations become floats that a node's
     function takes directly.  In a node that reads more than the first
@@ -481,6 +473,8 @@ def make_callable(node: RhsExpr, q: float,
     can change under one identity.  The memo holds a strong reference to
     its last key and never stores an error; no value changes.
     """
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"repeated variable name in {variables!r}")
     code, _ = _compile(node, float(q), tuple(variables))
     ev = code if callable(code) else (lambda a: code)
 

@@ -276,11 +276,6 @@ def finite_output(name: str, q: int, n_lo: int, values: list[float]) -> RadialFu
 class ConditionEntry(Record):
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
 
 class ConditionReport(Record):
     """Outcome of a set of predicate checks, one entry per condition."""

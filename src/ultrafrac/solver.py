@@ -241,7 +241,6 @@ def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
     grid = RadialGrid(q, depth, N)
     cur = [u0] * grid.size
     history: list[float] = []
-    converged = False
     for step in range(1, max_iter + 1):
         try:
             integ = apply_ialpha(_phi_function(q, depth, cur, rhs), alpha, (depth, N))
@@ -256,9 +255,8 @@ def picard_solve(rhs: RhsSpec, u0: float, alpha: float, q: int, N: int,
         history.append(diff)
         cur = nxt
         if diff <= tol:
-            converged = True
             break
-    if not converged:
+    else:
         if rho >= 1.0:
             raise NoContraction(
                 f"predicted contraction factor rho = {rho:.6g} >= 1 and the "

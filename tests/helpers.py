@@ -531,7 +531,9 @@ def eval_by_tree_walk(node, q, variables: tuple[str, ...], *args: float) -> floa
                 if b == 0.0:
                     raise ExprEvalError("division by zero")
                 return _finite(a / b, "division")
-            return _power(a, b)
+            if n.op == "^":
+                return _power(a, b)
+            raise TypeError(f"not an expression node: {n!r}")
         vals = [walk(a) for a in n.args]
         return _finite(_IMPL[n.name](*vals), n.name)
 

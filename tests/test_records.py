@@ -106,6 +106,8 @@ def test_replace_copies_through_init():
         rhs.replace(gamma=1.0)
     with pytest.raises(ValueError):  # the fields are set in order, all of them
         BinOp("+", Num(1.0))
+    with pytest.raises(ValueError):  # detail has no default
+        ConditionEntry("x", True)
     assert RadialGrid(2, 0, 1).replace(k_max=3) == RadialGrid(2, 0, 3)
 
 
